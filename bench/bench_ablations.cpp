@@ -296,9 +296,9 @@ void jitter_robustness_ablation() {
         {core::Strategy::kStratified, core::Strategy::kHetAware}, opts);
     t.add_row({common::format_double(jitter, 2),
                common::format_double(
-                   out.find(core::Strategy::kStratified).exec_time_s, 4),
+                   out.find(core::Strategy::kStratified).makespan_s, 4),
                common::format_double(
-                   out.find(core::Strategy::kHetAware).exec_time_s, 4),
+                   out.find(core::Strategy::kHetAware).makespan_s, 4),
                common::format_double(
                    out.time_improvement_pct(core::Strategy::kHetAware), 1)});
   }

@@ -23,7 +23,7 @@ void run_dataset(const hetsim::data::WebGraphConfig& cfg,
   common::Table t({"Strategy", "Time (s)", "Compression ratio"});
   for (const auto& s : outcome.strategies) {
     t.add_row({core::strategy_name(s.strategy),
-               common::format_double(s.exec_time_s, 4),
+               common::format_double(s.makespan_s, 4),
                common::format_double(s.quality, 2)});
   }
   t.print(std::cout,

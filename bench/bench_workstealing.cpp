@@ -80,11 +80,11 @@ int main() {
   }
   table.add_row({"Stratified (equal)",
                  common::format_double(
-                     het.find(core::Strategy::kStratified).exec_time_s, 4),
+                     het.find(core::Strategy::kStratified).makespan_s, 4),
                  "0.000", "0", std::to_string(het_union)});
   table.add_row({"Het-Aware (LP)",
                  common::format_double(
-                     het.find(core::Strategy::kHetAware).exec_time_s, 4),
+                     het.find(core::Strategy::kHetAware).makespan_s, 4),
                  "0.000", "0", std::to_string(het_union)});
   table.print(std::cout,
               "work stealing balances size, not payload: candidate union "

@@ -16,7 +16,7 @@
 
 namespace hetsim::bench {
 
-const StrategyOutcome& ExperimentOutcome::find(core::Strategy s) const {
+const runtime::JobSummary& ExperimentOutcome::find(core::Strategy s) const {
   for (const auto& o : strategies) {
     if (o.strategy == s) return o;
   }
@@ -24,8 +24,8 @@ const StrategyOutcome& ExperimentOutcome::find(core::Strategy s) const {
 }
 
 double ExperimentOutcome::time_improvement_pct(core::Strategy s) const {
-  const double base = find(core::Strategy::kStratified).exec_time_s;
-  return 100.0 * (base - find(s).exec_time_s) / base;
+  const double base = find(core::Strategy::kStratified).makespan_s;
+  return 100.0 * (base - find(s).makespan_s) / base;
 }
 
 double ExperimentOutcome::energy_improvement_pct(core::Strategy s) const {
@@ -33,23 +33,25 @@ double ExperimentOutcome::energy_improvement_pct(core::Strategy s) const {
   return 100.0 * (base - find(s).dirty_energy_j) / base;
 }
 
-core::FrameworkConfig bench_config(double energy_alpha) {
-  core::FrameworkConfig cfg;
-  cfg.sketch.num_hashes = 48;
-  cfg.kmodes.num_strata = 24;
-  cfg.kmodes.composite_l = 3;
-  cfg.kmodes.max_iterations = 12;
-  cfg.sampling.steps = 5;
-  cfg.sampling.min_fraction = 0.005;
-  cfg.sampling.max_fraction = 0.02;
-  cfg.sampling.min_records = 40;
-  cfg.energy_alpha = energy_alpha;
+runtime::JobSpec bench_spec(double energy_alpha, std::size_t records) {
+  runtime::JobSpec spec;
+  spec.sketch.num_hashes = 48;
+  spec.kmodes.num_strata = 24;
+  spec.kmodes.composite_l = 3;
+  spec.kmodes.max_iterations = 12;
+  spec.sampling.steps = 5;
+  spec.sampling.min_fraction = 0.005;
+  spec.sampling.max_fraction = 0.02;
+  spec.sampling.min_records = 40;
+  spec.alpha = energy_alpha;
   // The benches use the normalized scalarization so one alpha means the
   // same tradeoff on every workload (see EXPERIMENTS.md: the raw
   // formulation's knee sits in [0.99, 1.0] at simulator scales, exactly
   // the sensitivity the paper's future-work section flags).
-  cfg.normalized_alpha = true;
-  return cfg;
+  spec.normalized_alpha = true;
+  spec.enable_replan = false;
+  spec.checkpoint_records = records;
+  return spec;
 }
 
 std::vector<core::Strategy> paper_strategies() {
@@ -62,28 +64,17 @@ ExperimentOutcome run_experiment(const data::Dataset& dataset,
                                  std::uint32_t partitions, double energy_alpha,
                                  const std::vector<core::Strategy>& strategies,
                                  const cluster::ClusterOptions& cluster_options) {
-  cluster::Cluster cluster(cluster::standard_cluster(partitions),
-                           cluster_options);
   const energy::GreenEnergyEstimator energy =
       energy::GreenEnergyEstimator::standard(72);
-  core::ParetoFramework framework(cluster, energy, bench_config(energy_alpha));
-  framework.prepare(dataset, workload);
-
+  runtime::JobSpec spec = bench_spec(energy_alpha, dataset.size());
   ExperimentOutcome out;
-  out.dataset = dataset.name;
-  out.records = dataset.size();
   out.partitions = partitions;
-  out.setup_time_s = framework.setup_time_s();
   for (const core::Strategy s : strategies) {
-    const core::JobReport r = framework.run(s, dataset, workload);
-    StrategyOutcome o;
-    o.strategy = s;
-    o.exec_time_s = r.exec_time_s;
-    o.dirty_energy_j = r.dirty_energy_j;
-    o.green_energy_j = r.green_energy_j;
-    o.quality = r.quality;
-    o.partition_sizes = r.partition_sizes;
-    out.strategies.push_back(std::move(o));
+    cluster::Cluster cluster(cluster::standard_cluster(partitions),
+                             cluster_options);
+    spec.strategy = s;
+    runtime::JobRuntime job(cluster, energy, spec);
+    out.strategies.push_back(job.run(dataset, workload));
   }
   return out;
 }
@@ -144,7 +135,7 @@ void print_time_energy_figure(
   for (const auto& strat : by_partitions.front().strategies) {
     std::vector<double> times, energies;
     for (const auto& e : by_partitions) {
-      times.push_back(e.find(strat.strategy).exec_time_s);
+      times.push_back(e.find(strat.strategy).makespan_s);
       energies.push_back(e.find(strat.strategy).dirty_energy_j / 1000.0);
     }
     time.add_row_numeric(core::strategy_name(strat.strategy), times, 4);
@@ -194,8 +185,10 @@ void print_frontier(const std::string& title, const data::Dataset& dataset,
   cluster::Cluster cluster(cluster::standard_cluster(partitions));
   const energy::GreenEnergyEstimator energy =
       energy::GreenEnergyEstimator::standard(72);
-  core::ParetoFramework framework(cluster, energy, bench_config(0.999));
-  framework.prepare(dataset, workload);
+  runtime::JobRuntime job(cluster, energy,
+                          bench_spec(/*energy_alpha=*/0.999, dataset.size()));
+  (void)job.run(dataset, workload);
+  const std::vector<optimize::NodeModel>& models = job.node_models();
 
   // "dirty lin" is the LP's linearized objective Σ k_i·f_i (can go
   // negative when a node's green forecast exceeds its draw); "dirty
@@ -203,7 +196,6 @@ void print_frontier(const std::string& title, const data::Dataset& dataset,
   // green surplus cannot offset another's grid draw.
   const auto clamped_dirty = [&](std::span<const std::size_t> sizes) {
     double total = 0.0;
-    const auto models = framework.node_models();
     for (std::size_t i = 0; i < models.size(); ++i) {
       if (sizes[i] == 0) continue;
       total += std::max(0.0, models[i].dirty_rate) *
@@ -213,7 +205,10 @@ void print_frontier(const std::string& title, const data::Dataset& dataset,
   };
   common::Table t(
       {"alpha", "time (s)", "dirty lin (kJ)", "dirty clamped (kJ)"});
-  const auto frontier = framework.predicted_frontier(alphas, normalized);
+  const auto frontier =
+      normalized
+          ? optimize::sweep_frontier_normalized(models, dataset.size(), alphas)
+          : optimize::sweep_frontier(models, dataset.size(), alphas);
   for (const auto& pt : frontier) {
     t.add_row({common::format_double(pt.alpha, 4),
                common::format_double(pt.makespan_s, 4),
@@ -221,8 +216,7 @@ void print_frontier(const std::string& title, const data::Dataset& dataset,
                common::format_double(clamped_dirty(pt.sizes) / 1000.0, 4)});
   }
   // Baseline point: predicted equal split (the yellow marker in Fig. 5).
-  const auto eq =
-      optimize::equal_split(framework.node_models(), dataset.size());
+  const auto eq = optimize::equal_split(models, dataset.size());
   t.add_row({"Stratified(base)",
              common::format_double(eq.predicted_makespan_s, 4),
              common::format_double(eq.predicted_dirty_joules / 1000.0, 4),

@@ -1,53 +1,45 @@
 // Shared experiment harness for the paper-reproduction benches.
 //
-// Every bench binary regenerates one table or figure of the paper:
-// build the standard heterogeneous cluster at the requested partition
-// count, prepare the Pareto framework once per (dataset, workload), run
-// the strategies under comparison, and print the same rows/series the
-// paper reports (simulated seconds and joules — see DESIGN.md for the
-// work-metering substitution).
+// Every bench binary regenerates one table or figure of the paper: run
+// each strategy under comparison as one runtime::JobRuntime job on a
+// fresh standard heterogeneous cluster at the requested partition
+// count, and print the same rows/series the paper reports (simulated
+// seconds and joules — see DESIGN.md for the work-metering
+// substitution).
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "core/compression_workload.h"
-#include "core/framework.h"
 #include "core/mining_workload.h"
 #include "data/generators.h"
+#include "runtime/runtime.h"
 
 namespace hetsim::bench {
 
-struct StrategyOutcome {
-  core::Strategy strategy{};
-  double exec_time_s = 0.0;
-  double dirty_energy_j = 0.0;
-  double green_energy_j = 0.0;
-  double quality = 0.0;
-  std::vector<std::size_t> partition_sizes;
-};
-
 struct ExperimentOutcome {
-  std::string dataset;
-  std::size_t records = 0;
   std::uint32_t partitions = 0;
-  double setup_time_s = 0.0;
-  std::vector<StrategyOutcome> strategies;
+  /// One job summary per strategy, in the order they ran.
+  std::vector<runtime::JobSummary> strategies;
 
-  [[nodiscard]] const StrategyOutcome& find(core::Strategy s) const;
+  [[nodiscard]] const runtime::JobSummary& find(core::Strategy s) const;
   /// Percent improvement of `s` over the Stratified baseline on time
   /// (positive = faster than baseline).
   [[nodiscard]] double time_improvement_pct(core::Strategy s) const;
   [[nodiscard]] double energy_improvement_pct(core::Strategy s) const;
 };
 
-/// Framework tuning used by all benches (paper defaults, floors sized for
-/// the synthetic corpora).
-[[nodiscard]] core::FrameworkConfig bench_config(double energy_alpha);
+/// Job spec used by all benches (paper defaults, floors sized for the
+/// synthetic corpora). It is the paper's static run: no mid-job
+/// re-planning and one execution chunk per partition, so `records` must
+/// be the dataset size (SON merges candidates per chunk, so auto
+/// chunking would change the mining workloads' cost).
+[[nodiscard]] runtime::JobSpec bench_spec(double energy_alpha,
+                                          std::size_t records);
 
-/// Run `strategies` over `dataset`/`workload` on a `partitions`-node
-/// standard cluster. One prepare() then one run() per strategy.
+/// Run `strategies` over `dataset`/`workload`, one bench_spec job per
+/// strategy, each on a fresh `partitions`-node standard cluster.
 /// `cluster_options` lets ablations inject jitter or link changes.
 [[nodiscard]] ExperimentOutcome run_experiment(
     const data::Dataset& dataset, core::Workload& workload,
@@ -88,9 +80,9 @@ struct BenchMetric {
 bool write_bench_json(const std::string& bench_name,
                       const std::vector<BenchMetric>& metrics);
 
-/// Frontier sweep (Fig. 5/6): run the framework once, sweep alpha, print
-/// (alpha, predicted time, predicted dirty energy) plus the predicted
-/// Stratified baseline point. `normalized` selects the normalized
+/// Frontier sweep (Fig. 5/6): run one Het-Aware job for its learned node
+/// models, sweep alpha over them, print (alpha, predicted time,
+/// predicted dirty energy) plus the predicted Stratified baseline point. `normalized` selects the normalized
 /// scalarization (extension) instead of the paper's raw formulation.
 void print_frontier(const std::string& title, const data::Dataset& dataset,
                     core::Workload& workload, std::uint32_t partitions,

@@ -12,9 +12,9 @@
 #include "common/table.h"
 #include "compress/webgraph.h"
 #include "core/compression_workload.h"
-#include "core/framework.h"
 #include "data/generators.h"
 #include "partition/partitioner.h"
+#include "runtime/runtime.h"
 
 int main() {
   using namespace hetsim;
@@ -24,36 +24,46 @@ int main() {
   std::cout << "graph: " << graph.size() << " vertices, "
             << graph.total_items() << " edges\n\n";
 
-  cluster::Cluster cluster(cluster::standard_cluster(8));
   const energy::GreenEnergyEstimator energy =
       energy::GreenEnergyEstimator::standard(72);
-  core::FrameworkConfig config;
-  config.sampling.min_records = 40;
-  config.energy_alpha = 0.993;
-  core::ParetoFramework framework(cluster, energy, config);
   core::CompressionWorkload workload(
       core::CompressionWorkload::Algorithm::kWebGraph);
-  framework.prepare(graph, workload);
+  // The paper's static run: no mid-job re-planning, one task per
+  // partition.
+  runtime::JobSpec spec;
+  spec.sampling.min_records = 40;
+  spec.alpha = 0.993;
+  spec.normalized_alpha = false;
+  spec.enable_replan = false;
+  spec.checkpoint_records = graph.size();
 
-  // Strategy comparison (similar-together layout, the workload default).
+  // Strategy comparison (similar-together layout, the workload default),
+  // one job per strategy on a fresh cluster.
   common::Table table({"strategy", "time (s)", "dirty (J)", "ratio"});
+  std::vector<std::size_t> het_sizes;
+  stratify::Stratification strata;
   for (const core::Strategy strategy :
        {core::Strategy::kRandom, core::Strategy::kStratified,
         core::Strategy::kHetAware, core::Strategy::kHetEnergyAware}) {
-    const core::JobReport r = framework.run(strategy, graph, workload);
+    cluster::Cluster cluster(cluster::standard_cluster(8));
+    spec.strategy = strategy;
+    runtime::JobRuntime job(cluster, energy, spec);
+    const runtime::JobSummary r = job.run(graph, workload);
     table.add_row({core::strategy_name(strategy),
-                   common::format_double(r.exec_time_s, 4),
+                   common::format_double(r.makespan_s, 4),
                    common::format_double(r.dirty_energy_j, 1),
                    common::format_double(r.quality, 2)});
+    if (strategy == core::Strategy::kHetAware) {
+      het_sizes = r.initial_sizes;
+      strata = job.strata();
+    }
   }
   table.print(std::cout, "webgraph compression, 8 partitions");
 
-  // Round-trip spot check: compress one strata-contiguous partition
-  // directly and verify lossless decompression.
-  const auto sizes = framework.plan_sizes(core::Strategy::kHetAware,
-                                          graph.size());
+  // Round-trip spot check: compress one strata-contiguous partition of
+  // the Het-Aware plan directly and verify lossless decompression.
   const auto assignment = partition::make_partitions(
-      framework.strata(), sizes, partition::Layout::kSimilarTogether);
+      strata, het_sizes, partition::Layout::kSimilarTogether);
   std::vector<std::vector<std::uint32_t>> lists;
   for (const std::uint32_t idx : assignment.partitions[0]) {
     lists.push_back(data::decode_items(graph.records[idx].payload));

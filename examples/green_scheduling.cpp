@@ -5,20 +5,21 @@
 // Pareto frontier, prints the predicted (time, dirty energy) curve, and
 // selects the fastest point whose predicted dirty energy fits the
 // budget — then validates the choice by actually running the job.
+// The frontier comes from the node models a Het-Aware run learned, so
+// that run doubles as the measured fastest plan.
 //
 // Build & run:  cmake --build build && ./build/examples/green_scheduling
 #include <algorithm>
 #include <iostream>
 
 #include "common/table.h"
-#include "core/framework.h"
 #include "core/mining_workload.h"
 #include "data/generators.h"
+#include "runtime/runtime.h"
 
 int main() {
   using namespace hetsim;
 
-  cluster::Cluster cluster(cluster::standard_cluster(8));
   const energy::GreenEnergyEstimator energy =
       energy::GreenEnergyEstimator::standard(72);
   const data::Dataset corpus =
@@ -26,15 +27,32 @@ int main() {
   core::PatternMiningWorkload workload(
       {.min_support = 0.08, .max_pattern_length = 3});
 
-  core::FrameworkConfig config;
-  config.sampling.min_records = 40;
-  core::ParetoFramework framework(cluster, energy, config);
-  framework.prepare(corpus, workload);
+  // One static job (no re-planning, one task per partition) on a fresh
+  // 8-node cluster; `models` receives the node models it learned.
+  const auto run_job = [&](core::Strategy strategy, double alpha,
+                           std::vector<optimize::NodeModel>* models) {
+    cluster::Cluster cluster(cluster::standard_cluster(8));
+    runtime::JobSpec spec;
+    spec.strategy = strategy;
+    spec.alpha = alpha;
+    spec.normalized_alpha = false;
+    spec.sampling.min_records = 40;
+    spec.enable_replan = false;
+    spec.checkpoint_records = corpus.size();
+    runtime::JobRuntime job(cluster, energy, spec);
+    const runtime::JobSummary summary = job.run(corpus, workload);
+    if (models != nullptr) *models = job.node_models();
+    return summary;
+  };
+  std::vector<optimize::NodeModel> models;
+  const runtime::JobSummary fast =
+      run_job(core::Strategy::kHetAware, 1.0, &models);
 
   // Sweep the frontier.
   const std::vector<double> alphas{1.0,   0.999, 0.998, 0.997, 0.996,
                                    0.995, 0.994, 0.993, 0.992, 0.99};
-  const auto frontier = framework.predicted_frontier(alphas);
+  const auto frontier =
+      optimize::sweep_frontier(models, corpus.size(), alphas);
 
   common::Table table({"alpha", "pred time (s)", "pred dirty (J)"});
   for (const auto& pt : frontier) {
@@ -65,20 +83,14 @@ int main() {
             << common::format_double(chosen->dirty_joules, 1) << " J)\n\n";
 
   // Validate by running the job at the chosen alpha.
-  core::FrameworkConfig chosen_cfg = config;
-  chosen_cfg.energy_alpha = chosen->alpha;
-  core::ParetoFramework chosen_fw(cluster, energy, chosen_cfg);
-  chosen_fw.prepare(corpus, workload);
-  const core::JobReport fast =
-      chosen_fw.run(core::Strategy::kHetAware, corpus, workload);
-  const core::JobReport green =
-      chosen_fw.run(core::Strategy::kHetEnergyAware, corpus, workload);
+  const runtime::JobSummary green =
+      run_job(core::Strategy::kHetEnergyAware, chosen->alpha, nullptr);
   common::Table result({"plan", "time (s)", "dirty (J)"});
   result.add_row({"fastest (alpha=1)",
-                  common::format_double(fast.exec_time_s, 4),
+                  common::format_double(fast.makespan_s, 4),
                   common::format_double(fast.dirty_energy_j, 1)});
   result.add_row({"budgeted (alpha=" + common::format_double(chosen->alpha, 3) + ")",
-                  common::format_double(green.exec_time_s, 4),
+                  common::format_double(green.makespan_s, 4),
                   common::format_double(green.dirty_energy_j, 1)});
   result.print(std::cout, "measured");
   return 0;

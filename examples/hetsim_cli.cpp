@@ -15,10 +15,12 @@
 // compression on the UK analogue), lz77 / deflate (byte compression of
 // the UK analogue payloads).
 //
-// The run-job subcommand executes ONE job through hetsim::runtime (phase
-// DAG + straggler-triggered re-planning), prints the job summary JSON,
-// and optionally writes a Chrome-trace file viewable in chrome://tracing
-// or https://ui.perfetto.dev.
+// Without a subcommand every requested strategy runs as the paper's
+// static job (no re-planning, one task per partition) through
+// hetsim::runtime, on a fresh cluster each. The run-job subcommand
+// executes ONE job (phase DAG + straggler-triggered re-planning), prints
+// the job summary JSON, and optionally writes a Chrome-trace file
+// viewable in chrome://tracing or https://ui.perfetto.dev.
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -32,9 +34,7 @@
 #include "fault/fault.h"
 #include "kvstore/client.h"
 #include "core/compression_workload.h"
-#include "core/framework.h"
 #include "core/mining_workload.h"
-#include "core/report_io.h"
 #include "core/subtree_workload.h"
 #include "data/generators.h"
 #include "runtime/runtime.h"
@@ -303,29 +303,35 @@ int main(int argc, char** argv) {
     const auto partitions =
         static_cast<std::uint32_t>(args.get_int("partitions"));
 
-    cluster::Cluster cluster(cluster::standard_cluster(partitions));
     const energy::GreenEnergyEstimator energy =
         energy::GreenEnergyEstimator::standard(72);
-    core::FrameworkConfig config;
-    config.sampling.min_records = 40;
-    config.energy_alpha = args.get_double("alpha");
-    config.normalized_alpha = !args.get_flag("raw_alpha");
-    core::ParetoFramework framework(cluster, energy, config);
-    framework.prepare(job.dataset, *job.workload);
+    // The paper's static run: no mid-job re-planning, one task per
+    // partition, and a fresh cluster per strategy.
+    runtime::JobSpec spec;
+    spec.sampling.min_records = 40;
+    spec.alpha = args.get_double("alpha");
+    spec.normalized_alpha = !args.get_flag("raw_alpha");
+    spec.enable_replan = false;
+    spec.checkpoint_records = job.dataset.size();
 
     common::Table table({"strategy", "time_s", "dirty_j", "green_j",
-                         "quality", "load_s"});
+                         "quality", "setup_s"});
     for (const core::Strategy strategy :
          parse_strategies(args.get_string("strategy"))) {
-      const core::JobReport r =
-          framework.run(strategy, job.dataset, *job.workload);
-      if (args.get_flag("json")) std::cout << core::to_json(r) << '\n';
+      cluster::Cluster cluster(cluster::standard_cluster(partitions));
+      spec.name = args.get_string("workload") + "-" +
+                  core::strategy_name(strategy);
+      spec.strategy = strategy;
+      runtime::JobRuntime job_runtime(cluster, energy, spec);
+      const runtime::JobSummary r =
+          job_runtime.run(job.dataset, *job.workload);
+      if (args.get_flag("json")) std::cout << runtime::summary_json(r) << '\n';
       table.add_row({core::strategy_name(strategy),
-                     common::format_double(r.exec_time_s, 5),
+                     common::format_double(r.makespan_s, 5),
                      common::format_double(r.dirty_energy_j, 1),
                      common::format_double(r.green_energy_j, 1),
                      common::format_double(r.quality, 2),
-                     common::format_double(r.load_time_s, 5)});
+                     common::format_double(r.setup_time_s, 3)});
     }
     if (args.get_flag("json")) {
       // JSON already streamed per strategy.
@@ -334,9 +340,7 @@ int main(int argc, char** argv) {
     } else {
       std::cout << "dataset: " << job.dataset.name << " ("
                 << job.dataset.size() << " records), workload: "
-                << job.workload->name() << ", setup "
-                << common::format_double(framework.setup_time_s(), 3)
-                << " sim-s\n";
+                << job.workload->name() << '\n';
       table.print(std::cout, "results");
     }
   } catch (const std::exception& e) {

@@ -46,8 +46,8 @@
 // windows) below, which carry the Clang thread-safety annotations
 // (check/thread_safety.h) that let -Wthread-safety prove GUARDED_BY
 // contracts at compile time. Naked std::mutex is banned outside
-// src/check/ (enforced by tools/hetsim_lint), and lock acquisition
-// order is additionally checked statically by tools/hetsim_analyze.
+// src/check/ and lock acquisition order is checked statically, both by
+// tools/hetsim_analyze.
 //
 // Checking is gated on HETSIM_DCHECK_ENABLED (forced on by the
 // HETSIM_DCHECKS CMake option, default ON); with it off, RankedMutex is a

@@ -38,12 +38,6 @@ double PhaseReport::makespan_s() const noexcept {
   return worst;
 }
 
-double PhaseReport::total_busy_s() const noexcept {
-  double total = 0.0;
-  for (const auto& r : per_node) total += r.total_time_s();
-  return total;
-}
-
 Cluster::Cluster(std::vector<NodeSpec> nodes, Options options)
     : nodes_(std::move(nodes)),
       options_(options),
@@ -88,19 +82,20 @@ PhaseReport Cluster::run_phase(const std::string& name,
     NodePhaseResult r;
     r.node_id = nodes_[i].id;
     r.work_units = ctx.meter().units();
-    // Per-(node, phase) VM-style speed noise; clamped so a draw can slow
-    // a node but never stop or reverse it.
-    double speed = nodes_[i].speed;
-    if (options_.speed_jitter > 0.0) {
-      speed *= std::max(0.2, 1.0 + options_.speed_jitter * jitter_rng_.normal());
-    }
-    r.compute_time_s = options_.work_rate.seconds(r.work_units, speed);
+    r.compute_time_s =
+        options_.work_rate.seconds(r.work_units, phase_speed(nodes_[i]));
     r.network_time_s = ctx.network_time();
     report.per_node.push_back(r);
   }
   virtual_now_ += report.makespan_s();
   history_.push_back(report);
   return report;
+}
+
+double Cluster::phase_speed(const NodeSpec& node) {
+  if (options_.speed_jitter <= 0.0) return node.speed;
+  return node.speed *
+         std::max(0.2, 1.0 + options_.speed_jitter * jitter_rng_.normal());
 }
 
 PhaseReport Cluster::run_on(const std::string& name, std::uint32_t node_id,

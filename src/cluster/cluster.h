@@ -68,8 +68,6 @@ struct PhaseReport {
   std::vector<NodePhaseResult> per_node;
   /// Phase duration = slowest node (global barrier at the end).
   [[nodiscard]] double makespan_s() const noexcept;
-  /// Busy time summed over nodes (for energy accounting).
-  [[nodiscard]] double total_busy_s() const noexcept;
 };
 
 /// A node task: runs with a context, returns nothing; all effects are the
@@ -83,7 +81,8 @@ struct ClusterOptions {
   std::size_t pipeline_width = 256;
   /// Failure handling of every client created through NodeContext.
   kvstore::RetryPolicy retry{};
-  /// Per-(node, phase) multiplicative speed noise, as a standard
+  /// Per-(node, phase) multiplicative speed noise (per execution chunk
+  /// in the job runtime's executor), as a standard
   /// deviation fraction. Models the throughput variability of co-located
   /// virtual machines (paper section II cites 2x variation on EC2) —
   /// the reason the time models are *learned* rather than read off the
@@ -135,6 +134,13 @@ class Cluster {
     return history_;
   }
   void reset_clock() noexcept { virtual_now_ = 0.0; history_.clear(); }
+
+  /// Speed of `node` for one phase (or one runtime execution chunk):
+  /// its catalog speed times a fresh VM-noise draw when speed_jitter > 0
+  /// (clamped so a draw can slow a node but never stop or reverse it).
+  /// Draws advance the cluster's jitter stream, so callers must draw in
+  /// a deterministic order.
+  [[nodiscard]] double phase_speed(const NodeSpec& node);
 
   /// Energy drawn by `node_id` while busy for `seconds` (joules).
   [[nodiscard]] double energy_joules(std::uint32_t node_id, double seconds) const;

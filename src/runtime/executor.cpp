@@ -174,6 +174,9 @@ void PhaseExecutor::worker(std::uint32_t node) {
       }
       const double before = s.clock[node];
       cluster::NodeContext& ctx = *s.contexts[node];
+      // Drawn under the scheduler lock: admission order is deterministic,
+      // so is the cluster's jitter stream.
+      const double speed = cluster_.phase_speed(ctx.node());
       // The chunk body issues blocking work (simulated kvstore/fabric
       // round trips), so the scheduler lock is RELEASED around it. That
       // does not admit anyone else: s.current still names this node, and
@@ -201,7 +204,7 @@ void PhaseExecutor::worker(std::uint32_t node) {
         const double units = ctx.meter().units() - s.units_seen[node];
         s.units_seen[node] = ctx.meter().units();
         s.clock[node] +=
-            cluster_.options().work_rate.seconds(units, ctx.node().speed) *
+            cluster_.options().work_rate.seconds(units, speed) *
             s.slowdown[node];
         sync_network(node);
         s.dead[node] = 1;
@@ -212,7 +215,7 @@ void PhaseExecutor::worker(std::uint32_t node) {
       const double units = ctx.meter().units() - s.units_seen[node];
       s.units_seen[node] = ctx.meter().units();
       const double compute =
-          cluster_.options().work_rate.seconds(units, ctx.node().speed) *
+          cluster_.options().work_rate.seconds(units, speed) *
           s.slowdown[node];
       s.clock[node] += compute;
       NodeProgress& prog = s.progress[node];

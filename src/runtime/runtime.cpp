@@ -180,6 +180,7 @@ JobSummary JobRuntime::run(const data::Dataset& dataset,
   // leaves a live copy of every payload.
   router_.reset();
   replica_cost_ = {};
+  strata_ = {};
   if (spec_.replication >= 2) {
     std::vector<net::HostId> members(p);
     std::iota(members.begin(), members.end(), net::HostId{0});
@@ -210,7 +211,6 @@ JobSummary JobRuntime::run(const data::Dataset& dataset,
   };
 
   // State threaded between phases.
-  std::optional<stratify::Stratification> strata;
   std::vector<estimator::NodeTimeModel> time_models;
   std::vector<double> dirty_rates(p, 0.0);
   std::optional<partition::PartitionAssignment> assignment;
@@ -395,8 +395,8 @@ JobSummary JobRuntime::run(const data::Dataset& dataset,
               ++summary.tolerated_kv_failures;
             }
           }
-          strata = stratify::composite_kmodes(sketches, spec_.kmodes);
-          ctx.meter().add(static_cast<double>(strata->work_ops));
+          strata_ = stratify::composite_kmodes(sketches, spec_.kmodes);
+          ctx.meter().add(static_cast<double>(strata_.work_ops));
         });
     return PhaseResult::ok();
   });
@@ -410,7 +410,7 @@ JobSummary JobRuntime::run(const data::Dataset& dataset,
         };
     try {
       time_models = estimator::estimate_time_models(
-          cluster_, *strata, runner, spec_.sampling);
+          cluster_, strata_, runner, spec_.sampling);
     } catch (const common::Error& e) {
       if (!at.last) return PhaseResult::transient(e.what());
       // Out of attempts: fall back to catalog-derived models. The
@@ -464,7 +464,7 @@ JobSummary JobRuntime::run(const data::Dataset& dataset,
     assignment =
         spec_.strategy == core::Strategy::kRandom
             ? partition::random_partitions(n, summary.initial_sizes)
-            : partition::make_partitions(*strata,
+            : partition::make_partitions(strata_,
                                          summary.initial_sizes,
                                          workload.preferred_layout());
     std::vector<std::vector<std::uint32_t>> unreadable(p);
@@ -1028,6 +1028,16 @@ JobSummary JobRuntime::run(const data::Dataset& dataset,
   });
 
   const DagReport dag_report = dag.run(trace_, job_clock);
+  // Release the job's scratch lists on the master: ingest and sketch
+  // RPush append, so a later job on this cluster would otherwise read
+  // (and pay for) this job's records and sketches too. Control-plane
+  // cleanup, off the costed data path: the job's clock and trace are
+  // already final.
+  auto& scratch = cluster_.store(master_);  // hetsim-analyze: allow(direct-store)
+  scratch.del("data");
+  for (std::size_t node = 0; node < p; ++node) {
+    scratch.del("sketches:" + std::to_string(node));
+  }
   summary.phase_retries = dag_report.phase_retries;
   summary.failed_phase = dag_report.failed_phase;
   summary.failure_detail = dag_report.failure_detail;

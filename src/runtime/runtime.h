@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "cluster/cluster.h"
-#include "core/framework.h"
+#include "core/strategy.h"
 #include "core/workload.h"
 #include "data/dataset.h"
 #include "energy/estimator.h"
@@ -43,7 +43,7 @@ struct JobSpec {
   double alpha = 0.75;
   bool normalized_alpha = true;
 
-  // Pipeline configuration (same knobs as core::FrameworkConfig).
+  // Pipeline configuration.
   sketch::SketchConfig sketch{};
   stratify::KModesConfig kmodes{};
   estimator::SampleSpec sampling{};
@@ -53,7 +53,9 @@ struct JobSpec {
 
   // Runtime behaviour.
   /// Records per execution chunk / checkpoint. 0 = auto: largest initial
-  /// partition divided into ~8 checkpoints.
+  /// partition divided into ~8 checkpoints. With enable_replan = false
+  /// and a value >= the dataset size every node runs its partition as
+  /// one task: the paper's static, plan-once execution.
   std::size_t checkpoint_records = 0;
   bool enable_replan = true;
   StragglerPolicy straggler{};
@@ -186,6 +188,10 @@ class JobRuntime {
       const noexcept {
     return models_;
   }
+  /// Strata of the last run (empty before its stratify phase ran).
+  [[nodiscard]] const stratify::Stratification& strata() const noexcept {
+    return strata_;
+  }
 
   /// The shard router of the current run (null when replication == 1).
   [[nodiscard]] const ha::ShardRouter* router() const noexcept {
@@ -200,6 +206,7 @@ class JobRuntime {
   JobSpec spec_;
   TraceRecorder trace_;
   std::vector<optimize::NodeModel> models_;
+  stratify::Stratification strata_;
   std::uint32_t master_ = 0;
   std::uint32_t barrier_master_ = 0;
   /// Replicated data plane (replication >= 2 only).

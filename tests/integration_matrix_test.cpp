@@ -2,18 +2,18 @@
 // asserting the invariants that must hold for ANY (workload, strategy)
 // combination — exact record conservation, non-negative energy split,
 // quality present, Het-Aware no slower than the Stratified baseline,
-// and JSON serializability of each report.
+// and JSON serializability of each job summary. Every combination runs
+// as the paper's static job through runtime::JobRuntime.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <numeric>
 
 #include "core/compression_workload.h"
-#include "core/framework.h"
 #include "core/mining_workload.h"
-#include "core/report_io.h"
 #include "core/subtree_workload.h"
 #include "data/generators.h"
+#include "runtime/runtime.h"
 
 namespace hetsim::core {
 namespace {
@@ -62,46 +62,50 @@ TEST_P(IntegrationMatrix, AllStrategiesSatisfyInvariants) {
   const data::Dataset ds = c.make_dataset();
   const std::unique_ptr<Workload> workload = c.make_workload();
 
-  cluster::Cluster cluster(cluster::standard_cluster(8));
   const energy::GreenEnergyEstimator energy =
       energy::GreenEnergyEstimator::standard(72);
-  FrameworkConfig cfg;
-  cfg.sketch.num_hashes = 32;
-  cfg.kmodes.num_strata = 12;
-  cfg.kmodes.max_iterations = 8;
-  cfg.sampling.steps = 4;
-  cfg.sampling.min_fraction = 0.02;
-  cfg.sampling.max_fraction = 0.10;
-  cfg.sampling.min_records = 30;
-  cfg.normalized_alpha = true;
-  cfg.energy_alpha = 0.7;
-  ParetoFramework framework(cluster, energy, cfg);
-  framework.prepare(ds, *workload);
+  runtime::JobSpec spec;
+  spec.sketch.num_hashes = 32;
+  spec.kmodes.num_strata = 12;
+  spec.kmodes.max_iterations = 8;
+  spec.sampling.steps = 4;
+  spec.sampling.min_fraction = 0.02;
+  spec.sampling.max_fraction = 0.10;
+  spec.sampling.min_records = 30;
+  spec.normalized_alpha = true;
+  spec.alpha = 0.7;
+  spec.enable_replan = false;
+  spec.checkpoint_records = ds.size();
 
   double stratified_time = 0.0;
   double het_time = 0.0;
   for (const Strategy strategy :
        {Strategy::kRandom, Strategy::kStratified, Strategy::kHetAware,
         Strategy::kHetEnergyAware}) {
-    const JobReport r = framework.run(strategy, ds, *workload);
+    cluster::Cluster cluster(cluster::standard_cluster(8));
+    spec.strategy = strategy;
+    runtime::JobRuntime job(cluster, energy, spec);
+    const runtime::JobSummary r = job.run(ds, *workload);
     SCOPED_TRACE(std::string(c.name) + " / " + strategy_name(strategy));
+    EXPECT_EQ(r.status, runtime::JobStatus::kOk);
     // Record conservation.
-    EXPECT_EQ(std::accumulate(r.partition_sizes.begin(),
-                              r.partition_sizes.end(), std::size_t{0}),
+    EXPECT_EQ(std::accumulate(r.initial_sizes.begin(), r.initial_sizes.end(),
+                              std::size_t{0}),
               ds.size());
+    EXPECT_EQ(r.processed, r.initial_sizes);
     // Time and energy sanity.
-    EXPECT_GT(r.exec_time_s, 0.0);
-    EXPECT_GT(r.load_time_s, 0.0);
+    EXPECT_GT(r.makespan_s, 0.0);
+    EXPECT_GT(r.setup_time_s, 0.0);
     EXPECT_GE(r.dirty_energy_j, 0.0);
     EXPECT_GE(r.green_energy_j, 0.0);
     EXPECT_GT(r.total_work_units, 0.0);
     EXPECT_GT(r.quality, 0.0);
-    // Reports serialize.
-    const std::string json = to_json(r);
+    // Summaries serialize.
+    const std::string json = runtime::summary_json(r);
     EXPECT_EQ(json.front(), '{');
     EXPECT_NE(json.find(strategy_name(strategy)), std::string::npos);
-    if (strategy == Strategy::kStratified) stratified_time = r.exec_time_s;
-    if (strategy == Strategy::kHetAware) het_time = r.exec_time_s;
+    if (strategy == Strategy::kStratified) stratified_time = r.makespan_s;
+    if (strategy == Strategy::kHetAware) het_time = r.makespan_s;
   }
   // The paper's core claim, required of every workload.
   EXPECT_LT(het_time, stratified_time);

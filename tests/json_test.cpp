@@ -1,9 +1,10 @@
-// Tests for the JSON writer and the report serializers.
+// Tests for the JSON writer.
 #include <gtest/gtest.h>
+
+#include <limits>
 
 #include "common/error.h"
 #include "common/json.h"
-#include "core/report_io.h"
 
 namespace hetsim {
 namespace {
@@ -64,49 +65,6 @@ TEST(Json, UnbalancedContainersThrow) {
   EXPECT_THROW((void)w.str(), common::ConfigError);
   JsonWriter v;
   EXPECT_THROW(v.end_object(), common::ConfigError);
-}
-
-TEST(ReportIo, JobReportRoundsTheCorners) {
-  core::JobReport r;
-  r.strategy = core::Strategy::kHetAware;
-  r.workload = "test-workload";
-  r.partition_sizes = {10, 20};
-  r.exec_time_s = 1.5;
-  r.load_time_s = 0.25;
-  r.dirty_energy_j = 100.0;
-  r.green_energy_j = 50.0;
-  r.quality = 3.0;
-  r.total_work_units = 1e6;
-  r.node_exec_s = {1.5, 0.75};
-  const std::string json = core::to_json(r);
-  EXPECT_NE(json.find(R"("strategy":"Het-Aware")"), std::string::npos);
-  EXPECT_NE(json.find(R"("partition_sizes":[10,20])"), std::string::npos);
-  EXPECT_NE(json.find(R"("total_energy_j":150)"), std::string::npos);
-  EXPECT_NE(json.find(R"("node_exec_s":[1.5,0.75])"), std::string::npos);
-}
-
-TEST(ReportIo, PhaseReportSerializes) {
-  cluster::PhaseReport p;
-  p.name = "exec";
-  p.per_node.push_back(
-      {.node_id = 0, .work_units = 10, .compute_time_s = 1, .network_time_s = 2});
-  const std::string json = core::to_json(p);
-  EXPECT_NE(json.find(R"("name":"exec")"), std::string::npos);
-  EXPECT_NE(json.find(R"("makespan_s":3)"), std::string::npos);
-  EXPECT_NE(json.find(R"("network_s":2)"), std::string::npos);
-}
-
-TEST(ReportIo, FrontierSerializesAsArray) {
-  std::vector<optimize::FrontierPoint> frontier(2);
-  frontier[0].alpha = 1.0;
-  frontier[0].makespan_s = 0.5;
-  frontier[1].alpha = 0.5;
-  frontier[1].dirty_joules = 42.0;
-  const std::string json = core::frontier_to_json(frontier);
-  EXPECT_EQ(json.front(), '[');
-  EXPECT_EQ(json.back(), ']');
-  EXPECT_NE(json.find(R"("alpha":0.5)"), std::string::npos);
-  EXPECT_NE(json.find(R"("dirty_joules":42)"), std::string::npos);
 }
 
 }  // namespace

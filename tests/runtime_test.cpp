@@ -358,6 +358,26 @@ TEST(PhaseExecutor, SlowdownInflatesOnlyThatNode) {
   EXPECT_NEAR(slow.per_node[1].compute_s, base.per_node[1].compute_s, 1e-12);
 }
 
+TEST(PhaseExecutor, ChunksDrawTheClusterSpeedJitter) {
+  std::vector<std::uint32_t> work(64);
+  std::iota(work.begin(), work.end(), 0u);
+  const auto compute_s = [&](double jitter) {
+    cluster::Cluster cluster(cluster::standard_cluster(1),
+                             {.speed_jitter = jitter});
+    PhaseExecutor executor(
+        cluster, {work},
+        [](cluster::NodeContext& ctx, std::span<const std::uint32_t> ids) {
+          ctx.meter().add(1e4 * static_cast<double>(ids.size()));
+        },
+        {.chunk_records = 16});
+    return executor.run().per_node[0].compute_s;
+  };
+  // 64 * 1e4 units at speed 4, base rate 1e6 -> 0.16 s without noise.
+  EXPECT_NEAR(compute_s(0.0), 0.16, 1e-12);
+  EXPECT_NE(compute_s(0.3), compute_s(0.0));
+  EXPECT_EQ(compute_s(0.3), compute_s(0.3));
+}
+
 TEST(PhaseExecutor, CheckpointMigrationIsHonored) {
   cluster::Cluster cluster(cluster::standard_cluster(2));
   std::vector<std::uint32_t> work(90);
@@ -595,6 +615,57 @@ TEST(JobRuntime, MiningJobKeepsSonQualityUnderChunkedExecution) {
   EXPECT_EQ(static_cast<std::size_t>(summary.quality),
             direct.frequent.size());
   EXPECT_EQ(runtime.trace().count("global"), 1u);
+}
+
+TEST(JobRuntime, StaticRunExecutesOnePlannedChunkPerNode) {
+  // enable_replan = false with chunks of at least the dataset size is
+  // the paper's static run: every node that holds records processes its
+  // whole planned partition as one task, even under a straggler a
+  // re-planning job would react to.
+  const data::Dataset dataset = small_corpus();
+  for (const double alpha : {1.0, 0.0}) {
+    cluster::Cluster cluster(cluster::standard_cluster(4));
+    const auto energy = energy::GreenEnergyEstimator::standard(72);
+    LinearWorkload workload;
+    JobSpec spec = fast_spec();
+    // alpha 0 parks the load on the cleanest nodes, so some hold none.
+    spec.strategy = core::Strategy::kHetEnergyAware;
+    spec.alpha = alpha;
+    spec.enable_replan = false;
+    spec.checkpoint_records = dataset.size();
+    spec.per_node_slowdown = {2.5, 1.0, 1.0, 1.0};
+    JobRuntime runtime(cluster, energy, spec);
+    const JobSummary summary = runtime.run(dataset, workload);
+    SCOPED_TRACE("alpha " + std::to_string(alpha));
+    EXPECT_EQ(summary.replans, 0u);
+    EXPECT_EQ(summary.migrated_records, 0u);
+    EXPECT_EQ(summary.processed, summary.initial_sizes);
+    std::vector<std::size_t> chunks(cluster.size(), 0);
+    for (const TraceEvent& e : runtime.trace().events()) {
+      if (e.kind == TraceEventKind::kComplete && e.name == "chunk") {
+        ++chunks.at(static_cast<std::size_t>(e.lane));
+      }
+    }
+    for (std::size_t node = 0; node < cluster.size(); ++node) {
+      EXPECT_EQ(chunks[node], summary.initial_sizes[node] > 0 ? 1u : 0u)
+          << "node " << node;
+    }
+  }
+}
+
+TEST(JobRuntime, SecondJobOnOneClusterMatchesTheFirst) {
+  // A job must leave nothing on the cluster that a later job pays for:
+  // ingest and sketch uploads append to lists on the master.
+  cluster::Cluster cluster(cluster::standard_cluster(4));
+  const auto energy = energy::GreenEnergyEstimator::standard(72);
+  LinearWorkload workload;
+  const data::Dataset dataset = small_corpus();
+  JobRuntime runtime(cluster, energy, fast_spec());
+  const JobSummary first = runtime.run(dataset, workload);
+  const JobSummary second = runtime.run(dataset, workload);
+  EXPECT_DOUBLE_EQ(second.setup_time_s, first.setup_time_s);
+  EXPECT_DOUBLE_EQ(second.makespan_s, first.makespan_s);
+  EXPECT_DOUBLE_EQ(second.dirty_energy_j, first.dirty_energy_j);
 }
 
 TEST(JobRuntime, SummaryJsonIsWellFormedEnough) {

@@ -1,13 +1,12 @@
-// Token-level rules absorbed from tools/hetsim_lint (rationale in
-// DESIGN.md §7): naked-mutex, raw-thread, nondeterminism,
-// float-accounting, direct-store, phase-throw, pragma-once. The old
-// unchecked-reply rule is NOT ported — the flow-sensitive status-flow
-// checker replaces it. Suppression filtering happens centrally in the driver (the lexer
-// harvests both `hetsim-analyze: allow(...)` and the legacy
-// `hetsim-lint: allow(...)` spelling).
+// Token-level rules (rationale in DESIGN.md §7): naked-mutex,
+// raw-thread, nondeterminism, float-accounting, direct-store,
+// phase-throw, pragma-once. Unchecked kvstore replies are the
+// flow-sensitive status-flow checker's job. Suppression filtering
+// happens centrally in the driver (the lexer harvests
+// `hetsim-analyze: allow(...)` directives).
 //
-// Rules apply to files under src/ (matching the paths hetsim_lint was
-// run over); pragma-once also covers tools/ headers.
+// Rules apply to files under src/; pragma-once also covers tools/
+// headers.
 #include <algorithm>
 #include <cctype>
 #include <string>
