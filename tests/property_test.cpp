@@ -275,8 +275,11 @@ INSTANTIATE_TEST_SUITE_P(PartitionCounts, SonPartitions,
 
 // ---- Stratified sampling proportionality across shapes ----------------------
 
+// Every field is a std::size_t so the struct has no padding: gtest names each
+// case by printing the param's bytes, and padding bytes are stack garbage
+// that differs from build to build, so the ctest names of these cases did too.
 struct SampleParam {
-  std::uint32_t strata;
+  std::size_t strata;
   std::size_t per_stratum;
   std::size_t count;
 };
@@ -286,7 +289,7 @@ class StratifiedSampling : public ::testing::TestWithParam<SampleParam> {};
 TEST_P(StratifiedSampling, ProportionsWithinOne) {
   const SampleParam p = GetParam();
   stratify::Stratification strat;
-  strat.num_strata = p.strata;
+  strat.num_strata = static_cast<std::uint32_t>(p.strata);
   strat.assignment.resize(p.strata * p.per_stratum);
   for (std::size_t i = 0; i < strat.assignment.size(); ++i) {
     strat.assignment[i] = static_cast<std::uint32_t>(i % p.strata);
