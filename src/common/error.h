@@ -25,12 +25,6 @@ class StoreError : public Error {
   using Error::Error;
 };
 
-/// Optimization failures (infeasible LP, unbounded objective).
-class OptimizeError : public Error {
- public:
-  using Error::Error;
-};
-
 /// A bounded wait (virtual-time deadline or poll budget) expired before
 /// the awaited condition held — e.g. a kvstore barrier still missing
 /// parties after its poll budget.

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -158,25 +157,6 @@ class Client {
   // return types cannot express transport failure.
   void set(std::string_view key, std::string_view value);
   [[nodiscard]] std::optional<std::string> get(std::string_view key);
-
-  /// Outcome of a zero-copy get_view(): transport status plus whether
-  /// the key was found. The payload itself never leaves the store.
-  struct ViewResult {
-    Status status = Status::kOk;
-    bool found = false;
-  };
-  /// Zero-copy GET: `visitor` observes the value bytes in place (the
-  /// view is valid only during the call and must not touch any
-  /// kvstore). Charges exactly the wire time get() would — a GET
-  /// reply's RESP size is a function of the blob size alone — while the
-  /// partition blob, framed once at load, is never re-materialized.
-  /// Under active fault injection this falls back to a materialized
-  /// execute() so drop/retry/stall accounting stays byte-identical;
-  /// unlike get(), transport failure is reported in ViewResult::status
-  /// rather than thrown.
-  [[nodiscard]] ViewResult get_view(
-      std::string_view key,
-      const std::function<void(std::string_view)>& visitor);
 
   bool del(std::string_view key);
   std::size_t rpush(std::string_view key, std::string_view element);

@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -84,12 +83,5 @@ struct Value {
 
 /// Exact wire size of a reply without materializing the encoding.
 [[nodiscard]] std::size_t reply_wire_size(CommandType type, const Reply& reply);
-
-/// Wire size of a GET/LINDEX-style bulk reply carrying `blob_size`
-/// payload bytes (nullopt = null bulk, $-1\r\n). The zero-copy client
-/// path charges wire time from the size alone, without materializing a
-/// Reply; by construction it matches reply_wire_size for kGet exactly.
-[[nodiscard]] std::size_t bulk_reply_wire_size(
-    std::optional<std::size_t> blob_size);
 
 }  // namespace hetsim::kvstore::resp

@@ -42,33 +42,6 @@ std::optional<std::string> Store::get(std::string_view key) const {
   return *s;
 }
 
-bool Store::visit_get(
-    std::string_view key,
-    const std::function<void(std::string_view)>& visitor) const {
-  check::LockGuard lock(mu_);
-  ++ops_;
-  const auto it = data_.find(key);
-  if (it == data_.end()) return false;
-  const auto* s = std::get_if<std::string>(&it->second);
-  common::require<StoreError>(s != nullptr, "GET on non-string key");
-  // Deliberate zero-copy design: the callback observes the value bytes
-  // in place instead of copying a multi-megabyte partition blob per
-  // GET. The documented contract (the visitor must not touch any
-  // kvstore; the view dies with the callback) keeps the held leaf-rank
-  // lock safe.
-  visitor(*s);  // hetsim-analyze: allow(lock-blocking)
-  return true;
-}
-
-std::optional<std::size_t> Store::value_size(std::string_view key) const {
-  check::LockGuard lock(mu_);
-  const auto it = data_.find(key);
-  if (it == data_.end()) return std::nullopt;
-  const auto* s = std::get_if<std::string>(&it->second);
-  common::require<StoreError>(s != nullptr, "GET on non-string key");
-  return s->size();
-}
-
 std::size_t Store::rpush(std::string_view key, std::string_view element) {
   check::LockGuard lock(mu_);
   ++ops_;

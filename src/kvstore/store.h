@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -37,18 +36,6 @@ class Store {
   void set(std::string_view key, std::string_view value);
   /// nullopt if the key is absent. Throws StoreError on type mismatch.
   [[nodiscard]] std::optional<std::string> get(std::string_view key) const;
-  /// Zero-copy GET: runs `visitor` on the value bytes while the store
-  /// lock is held — the view is valid ONLY inside the callback, which
-  /// must not touch this (or any other) kvstore. Returns false when the
-  /// key is absent (visitor not called); throws StoreError on type
-  /// mismatch. Counts as one served op, exactly like get().
-  bool visit_get(std::string_view key,
-                 const std::function<void(std::string_view)>& visitor) const;
-  /// Byte size of the string value under `key` without copying it
-  /// (nullopt when absent). An accounting probe for wire-cost modelling,
-  /// not client traffic: ops_ is untouched.
-  [[nodiscard]] std::optional<std::size_t> value_size(
-      std::string_view key) const;
 
   // ---- list values ---------------------------------------------------
   /// Appends to the list at `key` (creates it), returns new length.

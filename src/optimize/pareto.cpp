@@ -16,25 +16,24 @@ constexpr double kTinyWork = 1e-9;
 
 /// Feasibility contract on a solved partitioning LP (paper §III): the
 /// continuous solution must satisfy Σ x_i = N, x_i >= 0 and
-/// v >= m_i·x_i + c_i for every node, to solver tolerance. A simplex
-/// result that violates its own constraints means the modeler is about
-/// to ship an impossible plan — fail fast instead.
+/// v >= m_i·x_i + c_i for every node, to solver tolerance. A solution
+/// that violates its own constraints means the modeler is about to ship
+/// an impossible plan — fail fast instead.
 void check_lp_feasible(std::span<const NodeModel> models, std::size_t total,
-                       const LpSolution& sol) {
+                       std::span<const double> x, double v) {
   const std::size_t p = models.size();
   const double n = static_cast<double>(total);
   const double tol = 1e-6 * std::max(1.0, n);
   double sum_x = 0.0;
   for (std::size_t i = 0; i < p; ++i) {
-    HETSIM_INVARIANT(sol.x[i] >= -tol)
-        << ": LP gave node " << i << " negative work x=" << sol.x[i];
-    sum_x += sol.x[i];
+    HETSIM_INVARIANT(x[i] >= -tol)
+        << ": LP gave node " << i << " negative work x=" << x[i];
+    sum_x += x[i];
   }
   HETSIM_INVARIANT(std::abs(sum_x - n) <= tol)
       << ": LP conservation broken, sum x_i=" << sum_x << " vs N=" << n;
-  const double v = sol.x[p];
   for (std::size_t i = 0; i < p; ++i) {
-    const double finish = models[i].slope * sol.x[i] + models[i].intercept;
+    const double finish = models[i].slope * x[i] + models[i].intercept;
     HETSIM_INVARIANT(v >= finish - 1e-6 * std::max(1.0, std::abs(finish)))
         << ": makespan var v=" << v << " below node " << i
         << " finish time " << finish;
@@ -51,11 +50,8 @@ void validate_models(std::span<const NodeModel> models) {
 }
 
 PartitionPlan finalize(std::span<const NodeModel> models, std::size_t total,
-                       std::vector<double> continuous, std::size_t iterations) {
+                       std::vector<double> continuous) {
   PartitionPlan plan;
-  plan.lp_iterations = iterations;
-  plan.predicted_makespan_s = 0.0;
-  plan.predicted_dirty_joules = 0.0;
   for (std::size_t i = 0; i < models.size(); ++i) {
     if (continuous[i] > kTinyWork) {
       const double t = models[i].time_s(continuous[i]);
@@ -76,62 +72,65 @@ PartitionPlan finalize(std::span<const NodeModel> models, std::size_t total,
   return plan;
 }
 
-}  // namespace
-
-namespace {
-
-/// Core LP: minimize w_time·v + w_energy·Σ (k_i·m_i + e_i)·x_i subject
-/// to the partitioning constraints, where e_i is an optional extra
-/// per-record energy rate (replica-write term; empty = none). Both
-/// weights must be >= 0, not both zero.
+/// Minimize w_time·v + w_energy·Σ (k_i·m_i + e_i)·x_i subject to the
+/// partitioning constraints, where e_i is an optional extra per-record
+/// energy rate (replica-write term; empty = none), by the breakpoint
+/// walk described in pareto.h. Both weights must be >= 0, not both zero.
 PartitionPlan solve_scalarized(std::span<const NodeModel> models,
                                std::size_t total, double w_time,
                                double w_energy,
                                std::span<const double> extra_energy = {}) {
   const std::size_t p = models.size();
-  LpProblem lp;
-  lp.num_vars = p + 1;  // x_0..x_{p-1}, then v
-  lp.objective.assign(p + 1, 0.0);
+  std::vector<double> cost(p);
+  double c_max = 0.0;
   for (std::size_t i = 0; i < p; ++i) {
-    const double extra = extra_energy.empty() ? 0.0 : extra_energy[i];
-    lp.objective[i] =
-        w_energy * (models[i].dirty_rate * models[i].slope + extra);
+    cost[i] = models[i].dirty_rate * models[i].slope +
+              (extra_energy.empty() ? 0.0 : extra_energy[i]);
+    c_max = std::max(c_max, models[i].intercept);
   }
-  lp.objective[p] = w_time;
+  std::vector<std::size_t> order(p);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](auto a, auto b) { return cost[a] < cost[b]; });
 
-  // v >= m_i x_i + c_i   <=>   -m_i x_i + v >= c_i
-  for (std::size_t i = 0; i < p; ++i) {
-    std::vector<double> row(p + 1, 0.0);
-    row[i] = -models[i].slope;
-    row[p] = 1.0;
-    lp.add_constraint(std::move(row), Relation::kGe, models[i].intercept);
+  // level[j]: v at which nodes order[0..j] hold N at their caps.
+  // slope[j]: Σ (d_i - d_j)/m_i over the nodes strictly cheaper than
+  // order[j], so equal costs add an exact zero.
+  const double n = static_cast<double>(total);
+  std::vector<double> level(p);
+  std::vector<double> slope(p);
+  double inv_m = 0.0, c_over_m = 0.0, d_over_m = 0.0;
+  double cheaper_inv_m = 0.0, cheaper_d_over_m = 0.0;
+  for (std::size_t j = 0; j < p; ++j) {
+    const NodeModel& m = models[order[j]];
+    const double d = cost[order[j]];
+    if (j > 0 && d > cost[order[j - 1]]) {
+      cheaper_inv_m = inv_m;
+      cheaper_d_over_m = d_over_m;
+    }
+    inv_m += 1.0 / m.slope;
+    c_over_m += m.intercept / m.slope;
+    d_over_m += d / m.slope;
+    level[j] = std::max(c_max, (n + c_over_m) / inv_m);
+    slope[j] = cheaper_d_over_m - d * cheaper_inv_m;
   }
-  // Sum x_i = N.
-  std::vector<double> sum_row(p + 1, 0.0);
-  for (std::size_t i = 0; i < p; ++i) sum_row[i] = 1.0;
-  lp.add_constraint(std::move(sum_row), Relation::kEq,
-                    static_cast<double>(total));
+  std::size_t last = p - 1;
+  while (last > 0 && w_time + w_energy * slope[last] < 0.0) --last;
 
-  const LpSolution sol = solve_lp(lp);
-  common::require<common::OptimizeError>(sol.status == LpStatus::kOptimal,
-                                         "pareto: LP not optimal (infeasible "
-                                         "or unbounded partitioning problem)");
-  check_lp_feasible(models, total, sol);
-  std::vector<double> x(sol.x.begin(), sol.x.begin() + static_cast<long>(p));
-  return finalize(models, total, std::move(x), sol.iterations);
+  // Fill cheapest first at the chosen level; the last node takes the
+  // rest so Σ x_i = N holds to rounding.
+  const double v = level[last];
+  std::vector<double> x(p, 0.0);
+  double left = n;
+  for (std::size_t j = 0; j <= last && left > 0.0; ++j) {
+    const NodeModel& m = models[order[j]];
+    x[order[j]] =
+        j == last ? left : std::min(left, (v - m.intercept) / m.slope);
+    left -= x[order[j]];
+  }
+  check_lp_feasible(models, total, x, v);
+  return finalize(models, total, std::move(x));
 }
-
-}  // namespace
-
-PartitionPlan solve_partition_sizes(std::span<const NodeModel> models,
-                                    std::size_t total, double alpha) {
-  validate_models(models);
-  common::require<common::ConfigError>(alpha >= 0.0 && alpha <= 1.0,
-                                       "pareto: alpha must be in [0, 1]");
-  return solve_scalarized(models, total, alpha, 1.0 - alpha);
-}
-
-namespace {
 
 /// Per-record replica-write dirty rate of each node's partition:
 /// e_i = write_s_per_record · Σ_{j ∈ replica_sets[i]} dirty_rate_j.
@@ -156,6 +155,14 @@ std::vector<double> replica_energy_rates(std::span<const NodeModel> models,
 
 }  // namespace
 
+PartitionPlan solve_partition_sizes(std::span<const NodeModel> models,
+                                    std::size_t total, double alpha) {
+  validate_models(models);
+  common::require<common::ConfigError>(alpha >= 0.0 && alpha <= 1.0,
+                                       "pareto: alpha must be in [0, 1]");
+  return solve_scalarized(models, total, alpha, 1.0 - alpha);
+}
+
 PartitionPlan solve_partition_sizes_replicated(
     std::span<const NodeModel> models, std::size_t total, double alpha,
     const ReplicaCostModel& replicas) {
@@ -175,20 +182,6 @@ PartitionPlan solve_partition_sizes_replicated(
     }
   }
   return plan;
-}
-
-double replica_dirty_joules(std::span<const NodeModel> models,
-                            std::span<const std::size_t> sizes,
-                            const ReplicaCostModel& replicas) {
-  common::require<common::ConfigError>(models.size() == sizes.size(),
-                                       "replica_dirty_joules: arity mismatch");
-  if (replicas.replication <= 1 || replicas.replica_sets.empty()) return 0.0;
-  const std::vector<double> rates = replica_energy_rates(models, replicas);
-  double total = 0.0;
-  for (std::size_t i = 0; i < models.size(); ++i) {
-    total += rates[i] * static_cast<double>(sizes[i]);
-  }
-  return total;
 }
 
 PartitionPlan solve_partition_sizes_normalized(
@@ -211,49 +204,12 @@ PartitionPlan solve_partition_sizes_normalized(
                           (1.0 - alpha) / g_range);
 }
 
-PartitionPlan waterfill_makespan(std::span<const NodeModel> models,
-                                 std::size_t total) {
-  validate_models(models);
-  const std::size_t p = models.size();
-  std::vector<bool> active(p, true);
-  double v = 0.0;
-  for (;;) {
-    double inv_sum = 0.0;
-    double offset = 0.0;
-    for (std::size_t i = 0; i < p; ++i) {
-      if (!active[i]) continue;
-      inv_sum += 1.0 / models[i].slope;
-      offset += models[i].intercept / models[i].slope;
-    }
-    common::require<common::OptimizeError>(inv_sum > 0.0,
-                                           "waterfill: no active nodes");
-    v = (static_cast<double>(total) + offset) / inv_sum;
-    // Any active node whose intercept already exceeds the level gets no
-    // work; drop the worst offender and re-level.
-    std::size_t worst = p;
-    double worst_c = v;
-    for (std::size_t i = 0; i < p; ++i) {
-      if (active[i] && models[i].intercept > worst_c) {
-        worst_c = models[i].intercept;
-        worst = i;
-      }
-    }
-    if (worst == p) break;
-    active[worst] = false;
-  }
-  std::vector<double> x(p, 0.0);
-  for (std::size_t i = 0; i < p; ++i) {
-    if (active[i]) x[i] = (v - models[i].intercept) / models[i].slope;
-  }
-  return finalize(models, total, std::move(x), 0);
-}
-
 PartitionPlan equal_split(std::span<const NodeModel> models, std::size_t total) {
   validate_models(models);
   std::vector<double> x(models.size(),
                         static_cast<double>(total) /
                             static_cast<double>(models.size()));
-  return finalize(models, total, std::move(x), 0);
+  return finalize(models, total, std::move(x));
 }
 
 namespace {

@@ -12,14 +12,28 @@
 // dirty energy (Het-Energy-Aware). Scalarization guarantees each solve
 // lands on the Pareto frontier; sweeping α traces the frontier.
 //
-// A closed-form water-filling solver for α = 1 cross-checks the LP.
+// The LP is solved in closed form. Fix the makespan v: node i can take
+// at most (v - c_i)/m_i records, and the energy term is linear in x with
+// per-record cost d_i = k_i·m_i (+ the replica-write rate e_i, below).
+// That is a fractional knapsack, filled cheapest d first. Its cost C(v)
+// is convex and piecewise linear; the breakpoints are the levels v_j at
+// which the j cheapest nodes, all at their caps, hold exactly N (never
+// below max_i c_i, since the LP asks v >= c_i of idle nodes too). On
+// (v_j, v_{j-1}) the first j-1 nodes sit at their caps and node j takes
+// the rest, so with weights w_t on v and w_e on energy (α and 1-α, or
+// their normalized rescaling) the objective's slope there is
+//
+//   w_t + w_e·Σ_{i<j} (d_i - d_j)/m_i,
+//
+// which rises as j falls. The optimum is therefore the first breakpoint,
+// walking from v_p toward fewer nodes, where that slope is >= 0. Ties
+// resolve to the smallest optimal makespan and, at that makespan, the
+// least energy; equal d_i fill in node-id order.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
-
-#include "optimize/simplex.h"
 
 namespace hetsim::optimize {
 
@@ -47,12 +61,11 @@ struct PartitionPlan {
   /// Σ k_i · f_i(x_i) at the continuous solution (joules); only counts
   /// nodes with x_i > 0 work — idle nodes are assumed parked.
   double predicted_dirty_joules = 0.0;
-  std::size_t lp_iterations = 0;
 };
 
 /// Solve the scalarized LP for `total` records across models.size()
-/// partitions. Throws OptimizeError if the LP is infeasible/unbounded or
-/// alpha is outside [0, 1].
+/// partitions. Throws ConfigError on an invalid model or an alpha outside
+/// [0, 1].
 [[nodiscard]] PartitionPlan solve_partition_sizes(
     std::span<const NodeModel> models, std::size_t total, double alpha);
 
@@ -84,17 +97,6 @@ struct ReplicaCostModel {
     std::span<const NodeModel> models, std::size_t total, double alpha,
     const ReplicaCostModel& replicas);
 
-/// Replica-write dirty energy of an arbitrary size vector (joules) —
-/// the term solve_partition_sizes_replicated adds to the objective.
-[[nodiscard]] double replica_dirty_joules(std::span<const NodeModel> models,
-                                          std::span<const std::size_t> sizes,
-                                          const ReplicaCostModel& replicas);
-
-/// Closed-form α = 1 solution: water-filling that equalizes finish times
-/// across the nodes that receive work.
-[[nodiscard]] PartitionPlan waterfill_makespan(std::span<const NodeModel> models,
-                                               std::size_t total);
-
 /// Equal-size baseline plan ("Stratified" in the paper): N/p records per
 /// partition regardless of node capability.
 [[nodiscard]] PartitionPlan equal_split(std::span<const NodeModel> models,
@@ -123,7 +125,7 @@ struct FrontierPoint {
 /// value at the other extreme. α = 0.5 then means "equal relative
 /// weight" regardless of the raw second/joule scales, so one α works
 /// across workloads. Implemented by solving the extremes first and
-/// rescaling the LP cost row.
+/// rescaling the two weights.
 [[nodiscard]] PartitionPlan solve_partition_sizes_normalized(
     std::span<const NodeModel> models, std::size_t total, double alpha);
 

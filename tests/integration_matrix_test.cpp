@@ -8,6 +8,7 @@
 
 #include <memory>
 #include <numeric>
+#include <ostream>
 
 #include "core/compression_workload.h"
 #include "core/mining_workload.h"
@@ -23,6 +24,10 @@ struct MatrixCase {
   data::Dataset (*make_dataset)();
   std::unique_ptr<Workload> (*make_workload)();
 };
+
+// gtest would otherwise print the struct's bytes, pointers included,
+// into every test name, and those change from build to build.
+void PrintTo(const MatrixCase& c, std::ostream* os) { *os << c.name; }
 
 data::Dataset text_dataset() {
   return data::generate_text_corpus(data::rcv1_like(0.25), "matrix-text");

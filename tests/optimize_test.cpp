@@ -1,13 +1,13 @@
-// Tests for the simplex solver and the Pareto partition model, including
-// the cross-check between the LP at alpha=1 and closed-form water-filling
-// and the Pareto dominance property of the frontier sweep.
+// Tests for the simplex oracle and the closed-form Pareto partition model,
+// including the cross-check of the closed form at alpha=1 against the
+// simplex and the Pareto dominance property of the frontier sweep.
 #include <gtest/gtest.h>
 
 #include <numeric>
 
 #include "common/error.h"
 #include "optimize/pareto.h"
-#include "optimize/simplex.h"
+#include "simplex.h"
 
 namespace hetsim::optimize {
 namespace {
@@ -129,13 +129,15 @@ TEST(Pareto, SizesSumToTotal) {
 }
 
 TEST(Pareto, AlphaOneMatchesWaterFilling) {
+  // Every intercept is below the water level: the optimum is unique.
   const auto models = standard_models();
-  const PartitionPlan lp = solve_partition_sizes(models, 50000, 1.0);
-  const PartitionPlan wf = waterfill_makespan(models, 50000);
-  EXPECT_NEAR(lp.predicted_makespan_s, wf.predicted_makespan_s, 1e-6);
+  const PartitionPlan plan = solve_partition_sizes(models, 50000, 1.0);
+  const LpSolution oracle = solve_lp(partition_lp(models, 50000, 1.0, 0.0));
+  ASSERT_EQ(oracle.status, LpStatus::kOptimal);
+  EXPECT_NEAR(plan.predicted_makespan_s, oracle.x[models.size()], 1e-9);
   for (std::size_t i = 0; i < models.size(); ++i) {
-    EXPECT_NEAR(lp.continuous[i], wf.continuous[i],
-                1e-4 * (wf.continuous[i] + 1.0));
+    EXPECT_NEAR(plan.continuous[i], oracle.x[i],
+                1e-9 * (oracle.x[i] + 1.0));
   }
 }
 
@@ -292,7 +294,10 @@ TEST(NormalizedPareto, DegenerateFrontierHandled) {
 TEST(Waterfill, DropsNodesWithHugeIntercept) {
   std::vector<NodeModel> models = standard_models();
   models[3].intercept = 1e9;  // startup cost so large it should stay idle
-  const PartitionPlan plan = waterfill_makespan(models, 1000);
+  // v is pinned at the huge intercept, where the tie rule fills cheapest
+  // first: node 2 (node 3's cost per record, lower id) takes everything.
+  const PartitionPlan plan = solve_partition_sizes(models, 1000, 1.0);
+  EXPECT_EQ(plan.sizes[2], 1000u);
   EXPECT_EQ(plan.sizes[3], 0u);
   EXPECT_EQ(std::accumulate(plan.sizes.begin(), plan.sizes.end(),
                             std::size_t{0}),

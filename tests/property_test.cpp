@@ -13,6 +13,7 @@
 #include <set>
 #include <thread>
 
+#include "common/allocation.h"
 #include "common/rng.h"
 #include "compress/lz77.h"
 #include "compress/webgraph.h"
@@ -21,9 +22,9 @@
 #include "kvstore/barrier.h"
 #include "mining/son.h"
 #include "optimize/pareto.h"
-#include "optimize/simplex.h"
 #include "runtime/replan.h"
 #include "runtime/runtime.h"
+#include "simplex.h"
 #include "sketch/minhash.h"
 #include "stratify/sampler.h"
 
@@ -242,6 +243,169 @@ TEST_P(ParetoAlphaGrid, ScalarizedObjectiveIsMinimal) {
 INSTANTIATE_TEST_SUITE_P(Alphas, ParetoAlphaGrid,
                          ::testing::Values(1.0, 0.999, 0.99, 0.9, 0.7, 0.5,
                                            0.3, 0.0));
+
+// ---- Closed-form Pareto solver against the simplex oracle -------------------
+
+/// Scalarization weights and per-record replica-write rates (empty = none).
+struct Weights {
+  double time = 0.0;
+  double energy = 0.0;
+  std::vector<double> extra;
+};
+
+/// LP objective at x, less the constant Σ k_i·c_i (v is the max over
+/// EVERY node of m_i·x_i + c_i), and the sum of its terms' magnitudes.
+std::pair<double, double> lp_objective(
+    std::span<const optimize::NodeModel> models, std::span<const double> x,
+    const Weights& w) {
+  double v = 0.0, energy = 0.0, magnitude = 0.0;
+  for (std::size_t i = 0; i < models.size(); ++i) {
+    v = std::max(v, models[i].time_s(x[i]));
+    const double extra = w.extra.empty() ? 0.0 : w.extra[i];
+    const double term =
+        (models[i].dirty_rate * models[i].slope + extra) * x[i];
+    energy += term;
+    magnitude += std::abs(term);
+  }
+  return {w.time * v + w.energy * energy, w.time * v + w.energy * magnitude};
+}
+
+/// Expects `plan` to reach the simplex optimum of the same LP to 1e-9
+/// relative, with equal integer sizes wherever that optimum is unique.
+/// Returns whether the sizes were compared.
+bool matches_oracle(std::span<const optimize::NodeModel> models,
+                    std::size_t total, const Weights& w,
+                    const optimize::PartitionPlan& plan) {
+  const optimize::LpSolution oracle = optimize::solve_lp(
+      optimize::partition_lp(models, total, w.time, w.energy, w.extra));
+  if (oracle.status != optimize::LpStatus::kOptimal) {
+    ADD_FAILURE() << "simplex oracle found no optimum";
+    return false;
+  }
+  const std::vector<double> x(oracle.x.begin(), oracle.x.end() - 1);
+  const auto [got, got_scale] = lp_objective(models, plan.continuous, w);
+  const auto [want, want_scale] = lp_objective(models, x, w);
+  EXPECT_LE(std::abs(got - want), 1e-9 * std::max(got_scale, want_scale))
+      << "closed form " << got << " vs simplex " << want;
+  if (!oracle.unique) return false;
+  EXPECT_EQ(plan.sizes, common::proportional_allocation(x, total));
+  return true;
+}
+
+class ClosedFormVsSimplex : public ::testing::TestWithParam<std::uint64_t> {};
+
+/// Ten blocks of 1,000 seeded instances: p in 1..8, dirty rates of both
+/// signs, a third of the intercepts zero, half the totals small enough to
+/// leave intercepts above the water level, replicas on the next nodes of
+/// a ring. Each is solved raw, replicated and normalized at α = 0, 0.1,
+/// ..., 1.
+TEST_P(ClosedFormVsSimplex, AgreesWithOracle) {
+  std::size_t solves = 0, compared = 0;
+  for (std::uint64_t seed = GetParam() * 1000;
+       seed < (GetParam() + 1) * 1000; ++seed) {
+    common::Rng rng(seed);
+    const std::size_t p = 1 + rng.bounded(8);
+    std::vector<optimize::NodeModel> models;
+    for (std::size_t i = 0; i < p; ++i) {
+      models.push_back(
+          {.slope = rng.uniform(2e-5, 1e-3),
+           .intercept = rng.bounded(3) == 0 ? 0.0 : rng.uniform(0.0, 0.5),
+           .dirty_rate = rng.uniform(-100.0, 400.0)});
+    }
+    const std::size_t total =
+        1 + rng.bounded(rng.bounded(2) == 0 ? 1000 : 200000);
+    optimize::ReplicaCostModel replicas{
+        .replication = std::min<std::size_t>(p, 2 + rng.bounded(2)),
+        .write_s_per_record = rng.uniform(1e-6, 2e-4),
+        .replica_sets = std::vector<std::vector<std::uint32_t>>(p)};
+    std::vector<double> rates(p, 0.0);  // write_s · Σ_{j ∈ set_i} k_j
+    for (std::size_t i = 0; i < p; ++i) {
+      for (std::size_t r = 1; r < replicas.replication; ++r) {
+        replicas.replica_sets[i].push_back(
+            static_cast<std::uint32_t>((i + r) % p));
+        rates[i] +=
+            replicas.write_s_per_record * models[(i + r) % p].dirty_rate;
+      }
+    }
+    // Normalized weights: each objective over its range between the
+    // two extreme plans.
+    const auto fast = optimize::solve_partition_sizes(models, total, 1.0);
+    const auto green = optimize::solve_partition_sizes(models, total, 0.0);
+    const double v_range =
+        green.predicted_makespan_s - fast.predicted_makespan_s;
+    const double g_range =
+        fast.predicted_dirty_joules - green.predicted_dirty_joules;
+    const bool flat = v_range <= 1e-15 || g_range <= 1e-15;
+    for (int a = 0; a <= 10; ++a) {
+      const double alpha = a / 10.0;
+      SCOPED_TRACE(::testing::Message() << "seed " << seed << " alpha "
+                                        << alpha);
+      compared += matches_oracle(
+          models, total, {alpha, 1.0 - alpha, {}},
+          optimize::solve_partition_sizes(models, total, alpha));
+      compared += matches_oracle(
+          models, total, {alpha, 1.0 - alpha, rates},
+          optimize::solve_partition_sizes_replicated(models, total, alpha,
+                                                     replicas));
+      compared += matches_oracle(
+          models, total,
+          flat ? Weights{alpha, 1.0 - alpha, {}}
+               : Weights{alpha / v_range, (1.0 - alpha) / g_range, {}},
+          optimize::solve_partition_sizes_normalized(models, total, alpha));
+      solves += 3;
+    }
+  }
+  EXPECT_GT(compared, solves / 2);  // the size check is not vacuous
+}
+
+INSTANTIATE_TEST_SUITE_P(Blocks, ClosedFormVsSimplex,
+                         ::testing::Range<std::uint64_t>(0, 10));
+
+TEST(ClosedFormPareto, AlphaOneClampFillsCheapestAtTheLargestIntercept) {
+  // Node 2's 5 s intercept is above the 2 s water level: v is pinned at 5
+  // and every split within the caps ties at alpha 1. The tie rule takes
+  // the least energy there: all on node 1 (node 2's cap at v = 5 is 0).
+  const std::vector<optimize::NodeModel> models{
+      {.slope = 1e-3, .intercept = 0.0, .dirty_rate = 100.0},
+      {.slope = 1e-3, .intercept = 0.0, .dirty_rate = 50.0},
+      {.slope = 1e-3, .intercept = 5.0, .dirty_rate = 10.0}};
+  const auto plan = optimize::solve_partition_sizes(models, 1000, 1.0);
+  EXPECT_EQ(plan.sizes, (std::vector<std::size_t>{0, 1000, 0}));
+  EXPECT_DOUBLE_EQ(plan.predicted_makespan_s, 1.0);  // working nodes only
+  EXPECT_FALSE(matches_oracle(models, 1000, {1.0, 0.0, {}}, plan));
+}
+
+TEST(ClosedFormPareto, IdenticalNodesSplitEvenlyAtEveryAlpha) {
+  // Equal costs tie at every level; the smallest makespan is the even
+  // split, even at alpha 0 where only energy is priced.
+  const std::vector<optimize::NodeModel> models(
+      4, {.slope = 1e-4, .intercept = 0.1, .dirty_rate = 100.0});
+  const std::vector<std::size_t> even(4, 250);
+  for (const double alpha : {0.0, 0.5, 1.0}) {
+    const auto plan = optimize::solve_partition_sizes(models, 1000, alpha);
+    EXPECT_EQ(plan.sizes, even) << alpha;
+    matches_oracle(models, 1000, {alpha, 1.0 - alpha, {}}, plan);
+    EXPECT_EQ(
+        optimize::solve_partition_sizes_normalized(models, 1000, alpha).sizes,
+        even)
+        << alpha;
+  }
+}
+
+TEST(ClosedFormPareto, TwoNodeNormalizedHalfTiesAndTakesTheFastEnd) {
+  // Ends: (4, 4) at v = 4 and 3·4 + 1·4 = 16 J; (0, 8) at v = 8 and 8 J.
+  // Normalized alpha 0.5 weighs v by 0.5/4 and energy by 0.5/8, so both
+  // ends score 1.5 (two nodes make a one-segment frontier) and the tie
+  // rule takes the smaller makespan. Raw alpha 0.5 goes green.
+  const std::vector<optimize::NodeModel> models{
+      {.slope = 1.0, .intercept = 0.0, .dirty_rate = 3.0},
+      {.slope = 1.0, .intercept = 0.0, .dirty_rate = 1.0}};
+  const auto plan = optimize::solve_partition_sizes_normalized(models, 8, 0.5);
+  EXPECT_EQ(plan.sizes, (std::vector<std::size_t>{4, 4}));
+  EXPECT_FALSE(matches_oracle(models, 8, {0.125, 0.0625, {}}, plan));
+  EXPECT_EQ(optimize::solve_partition_sizes(models, 8, 0.5).sizes,
+            (std::vector<std::size_t>{0, 8}));
+}
 
 // ---- SON equals Apriori across partition counts -----------------------------
 
