@@ -9,8 +9,8 @@
 //      empty-plan injector attached must produce byte-identical
 //      summary JSON and Chrome-trace JSON (virtual time unchanged);
 //   2. wall-clock overhead — the empty-plan run must cost < 2% extra
-//      real time (median of 7 runs each), i.e. the interception
-//      branches are effectively free.
+//      real time (median ratio over 21 interleaved pairs of runs), i.e.
+//      the interception branches are effectively free.
 //
 // It then runs the same job with an active plan (store errors plus one
 // node fail-stop) and reports the degraded-mode outcome: retries,
@@ -97,16 +97,38 @@ RunResult run_once(const data::Dataset& dataset, std::uint32_t partitions,
   return result;
 }
 
-double median_wall_s(const data::Dataset& dataset, std::uint32_t partitions,
-                     const fault::FaultPlan* plan, std::uint64_t seed,
-                     int reps) {
-  std::vector<double> samples;
-  samples.reserve(static_cast<std::size_t>(reps));
-  for (int i = 0; i < reps; ++i) {
-    samples.push_back(run_once(dataset, partitions, plan, seed).wall_s);
+double median_of(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+/// Wall time of a baseline leg against a treated leg.
+struct PairedWall {
+  double base_s = 0.0;     // median wall of the baseline leg
+  double treated_s = 0.0;  // median wall of the treated leg
+  double overhead_pct = 0.0;  // from the median of the paired ratios
+};
+
+/// Runs `pairs` interleaved pairs and reports the median of the
+/// per-pair treated/base ratios. Each pair runs the legs in the order
+/// base, treated, treated, base, so host drift between pairs and any
+/// run-order effect cancel inside the pair instead of landing in the
+/// ratio. `run(treated)` returns one leg's wall seconds.
+template <typename Run>
+PairedWall paired_wall(int pairs, Run run) {
+  std::vector<double> base;
+  std::vector<double> treated;
+  std::vector<double> ratio;
+  for (int i = 0; i < pairs; ++i) {
+    const double b1 = run(false);
+    const double t = run(true) + run(true);
+    const double b = b1 + run(false);
+    base.push_back(b / 2.0);
+    treated.push_back(t / 2.0);
+    ratio.push_back(t / b);
   }
-  std::sort(samples.begin(), samples.end());
-  return samples[samples.size() / 2];
+  return {median_of(base), median_of(treated),
+          100.0 * (median_of(ratio) - 1.0)};
 }
 
 // ---- serving path: deadline budget + breaker ---------------------------
@@ -168,29 +190,23 @@ double p99_of(std::vector<double> lat) {
   return lat[std::min(idx, lat.size() - 1)];
 }
 
-double median_serve_wall_s(const fault::FaultPlan* plan, bool breaker_on,
-                           std::size_t ops, int reps) {
-  std::vector<double> samples;
-  samples.reserve(static_cast<std::size_t>(reps));
-  for (int i = 0; i < reps; ++i) {
-    samples.push_back(serve_once(plan, breaker_on, ops).wall_s);
-  }
-  std::sort(samples.begin(), samples.end());
-  return samples[samples.size() / 2];
-}
-
 }  // namespace
 
 int main() {
   const std::uint32_t partitions = 8;
   const std::uint64_t seed = 171;
-  const int reps = 7;
+  // Interleaved pairs per wall gate: a job run takes ~0.1 s and a serve
+  // run ~2 ms, and single runs scatter by several percent on a shared
+  // host, so the cheap serve leg takes many more pairs.
+  const int job_pairs = 21;
+  const int serve_pairs = 101;
   const data::Dataset dataset =
       data::generate_text_corpus(data::rcv1_like(0.5), "rcv1");
 
   std::cout << "fault-injection overhead — " << dataset.name << " ("
             << dataset.size() << " records), " << partitions
-            << " nodes, median of " << reps << " runs\n\n";
+            << " nodes, median of " << job_pairs
+            << " interleaved pairs\n\n";
 
   bool ok = true;
   std::vector<bench::BenchMetric> metrics;
@@ -208,11 +224,14 @@ int main() {
 
   // ---- wall-clock overhead gate --------------------------------------
   // One warm-up pass of each configuration already happened above.
-  const double wall_bare =
-      median_wall_s(dataset, partitions, nullptr, seed, reps);
-  const double wall_gated =
-      median_wall_s(dataset, partitions, &empty_plan, seed, reps);
-  const double overhead_pct = 100.0 * (wall_gated - wall_bare) / wall_bare;
+  const PairedWall job_wall = paired_wall(job_pairs, [&](bool gated_leg) {
+    return run_once(dataset, partitions, gated_leg ? &empty_plan : nullptr,
+                    seed)
+        .wall_s;
+  });
+  const double wall_bare = job_wall.base_s;
+  const double wall_gated = job_wall.treated_s;
+  const double overhead_pct = job_wall.overhead_pct;
   std::cout << "wall time: no injector " << common::format_double(wall_bare, 4)
             << " s, empty plan " << common::format_double(wall_gated, 4)
             << " s, overhead " << common::format_double(overhead_pct, 2)
@@ -284,12 +303,13 @@ int main() {
       {"breaker_virtual_identical", virt_identical ? 1.0 : 0.0, "bool"});
   if (!virt_identical) ok = false;
 
-  const double serve_off =
-      median_serve_wall_s(nullptr, /*breaker_on=*/false, serve_ops, reps);
-  const double serve_on =
-      median_serve_wall_s(nullptr, /*breaker_on=*/true, serve_ops, reps);
-  const double serve_overhead_pct =
-      100.0 * (serve_on - serve_off) / serve_off;
+  const PairedWall serve_wall =
+      paired_wall(serve_pairs, [&](bool breaker_on) {
+        return serve_once(nullptr, breaker_on, serve_ops).wall_s;
+      });
+  const double serve_off = serve_wall.base_s;
+  const double serve_on = serve_wall.treated_s;
+  const double serve_overhead_pct = serve_wall.overhead_pct;
   std::cout << "fault-free wall time: breaker off "
             << common::format_double(serve_off, 4) << " s, on "
             << common::format_double(serve_on, 4) << " s, overhead "

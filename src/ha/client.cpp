@@ -30,6 +30,21 @@ Client::Client(ShardRouter& router, ClientProvider provider,
       provider_(std::move(provider)),
       observer_(std::move(observer)) {}
 
+bool Client::replica_op(HostId target, const Command& cmd, double& budget,
+                        Reply& reply) {
+  kvstore::Client& conn = provider_(target);
+  if (budget < 0.0) budget = conn.retry_policy().deadline_s;
+  if (budget <= 0.0) return false;
+  const double before = conn.consumed_time();
+  reply = conn.execute(cmd, budget);
+  // Clamp at zero: an overdrawn budget must read as exhausted, not as
+  // the lazy-init sentinel (which would grant a fresh deadline to the
+  // next replica).
+  budget = std::max(0.0, budget - (conn.consumed_time() - before));
+  router_.note_op_outcome(target, reply.status == Status::kOk);
+  return true;
+}
+
 WriteResult Client::fan_out(std::string_view key, const Command& cmd) {
   const bool skip_last = fault::test_hooks().fanout_skip_last_replica;
   const std::vector<HostId> route = router_.route(key);
@@ -45,20 +60,12 @@ WriteResult Client::fan_out(std::string_view key, const Command& cmd) {
       // copy — neither attempted nor expired, breaking conservation.
       continue;
     }
-    kvstore::Client& conn = provider_(target);
-    if (budget < 0.0) budget = conn.retry_policy().deadline_s;
-    if (budget <= 0.0) {
+    Reply reply;
+    if (!replica_op(target, cmd, budget, reply)) {
       ++out.expired;
       continue;
     }
     ++out.attempted;
-    const double before = conn.consumed_time();
-    const Reply reply = conn.execute(cmd, budget);
-    // Clamp at zero: an overdrawn budget must read as exhausted,
-    // not as the lazy-init sentinel (which would grant a fresh
-    // deadline to the next replica).
-    budget = std::max(0.0, budget - (conn.consumed_time() - before));
-    router_.note_op_outcome(target, reply.status == Status::kOk);
     if (reply.status == Status::kOk) {
       ++out.acked;
       if (observer_) observer_(target, cmd);
@@ -78,13 +85,7 @@ ReadResult Client::read_with_fallback(std::string_view key,
   double budget = -1.0;
   std::vector<HostId> tried;
   for (const HostId target : router_.live_preference(key)) {
-    kvstore::Client& conn = provider_(target);
-    if (budget < 0.0) budget = conn.retry_policy().deadline_s;
-    if (budget <= 0.0) break;
-    const double before = conn.consumed_time();
-    out.reply = conn.execute(cmd, budget);
-    budget = std::max(0.0, budget - (conn.consumed_time() - before));
-    router_.note_op_outcome(target, out.reply.status == Status::kOk);
+    if (!replica_op(target, cmd, budget, out.reply)) break;
     out.served_by = target;
     out.fallback = !first;
     tried.push_back(target);
@@ -103,13 +104,7 @@ ReadResult Client::read_with_fallback(std::string_view key,
       if (std::find(tried.begin(), tried.end(), target) != tried.end()) {
         continue;
       }
-      kvstore::Client& conn = provider_(target);
-      if (budget < 0.0) budget = conn.retry_policy().deadline_s;
-      if (budget <= 0.0) break;
-      const double before = conn.consumed_time();
-      out.reply = conn.execute(cmd, budget);
-      budget = std::max(0.0, budget - (conn.consumed_time() - before));
-      router_.note_op_outcome(target, out.reply.status == Status::kOk);
+      if (!replica_op(target, cmd, budget, out.reply)) break;
       out.served_by = target;
       out.fallback = true;
       if (!should_fall_back(out.reply.status) && out.reply.ok) break;
@@ -250,17 +245,11 @@ std::vector<ReadResult> Client::get_many(
     }
     const std::vector<HostId> pref =
         router_.live_preference(keys[i], /*ignore_breaker=*/true);
+    const Command cmd{CommandType::kGet, keys[i], "", 0, 0};
     double budget = -1.0;
     for (const HostId target : pref) {
       if (target == res.served_by) continue;  // primary already failed
-      kvstore::Client& conn = provider_(target);
-      if (budget < 0.0) budget = conn.retry_policy().deadline_s;
-      if (budget <= 0.0) break;
-      const double before = conn.consumed_time();
-      res.reply = conn.execute(
-          Command{CommandType::kGet, keys[i], "", 0, 0}, budget);
-      budget = std::max(0.0, budget - (conn.consumed_time() - before));
-      router_.note_op_outcome(target, res.reply.status == Status::kOk);
+      if (!replica_op(target, cmd, budget, res.reply)) break;
       res.served_by = target;
       res.fallback = true;
       if (!should_fall_back(res.reply.status) && res.reply.ok) break;

@@ -106,6 +106,13 @@ class Client {
   [[nodiscard]] ShardRouter& router() noexcept { return router_; }
 
  private:
+  /// One budgeted op on one replica: runs `cmd` against the remaining
+  /// `budget` (a negative budget is first set to the connection's policy
+  /// deadline) into `reply`, charges the time spent, and reports the
+  /// outcome to the breaker. Returns false, sending nothing and leaving
+  /// `reply` as it was, once the budget is spent.
+  [[nodiscard]] bool replica_op(HostId target, const kvstore::Command& cmd,
+                                double& budget, kvstore::Reply& reply);
   WriteResult fan_out(std::string_view key, const kvstore::Command& cmd);
   [[nodiscard]] ReadResult read_with_fallback(std::string_view key,
                                               const kvstore::Command& cmd);

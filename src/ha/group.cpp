@@ -124,8 +124,8 @@ NodeGroup::RejoinReport NodeGroup::rejoin(HostId node) {
           std::find(route.begin(), route.end(), peer) != route.end();
       return has_node && has_peer;
     };
-    const RepairReport r = repair(*stores_[peer], *stores_[node], &fabric_,
-                                  config_.repair, shared_arc);
+    const RepairReport r = repair(*stores_[peer], *stores_[node], config_.repair,
+                                  shared_arc);
     report.repair.copied += r.copied;
     report.repair.deleted += r.deleted;
     report.repair.payload_bytes += r.payload_bytes;

@@ -104,15 +104,9 @@ RepairReport apply_repair(const kvstore::Store& authority,
 }
 
 RepairReport repair(const kvstore::Store& authority, kvstore::Store& target,
-                    net::Fabric* fabric, const RepairConfig& config,
-                    const KeyFilter& filter) {
-  const RepairPlan plan = plan_repair(authority, target, config, filter);
-  RepairReport report = apply_repair(authority, target, plan);
-  if (fabric != nullptr) {
-    fabric->note_repair(plan.ibf_wire_bytes, report.payload_bytes,
-                        report.copied + report.deleted);
-  }
-  return report;
+                    const RepairConfig& config, const KeyFilter& filter) {
+  return apply_repair(authority, target,
+                      plan_repair(authority, target, config, filter));
 }
 
 }  // namespace hetsim::ha

@@ -25,7 +25,6 @@
 
 #include "ha/ibf.h"
 #include "kvstore/store.h"
-#include "net/fabric.h"
 
 namespace hetsim::ha {
 
@@ -80,10 +79,9 @@ struct RepairReport {
 RepairReport apply_repair(const kvstore::Store& authority,
                           kvstore::Store& target, const RepairPlan& plan);
 
-/// plan + apply + fabric accounting (note_repair) in one call. `fabric`
-/// may be null (tests that only care about store convergence).
+/// plan_repair + apply_repair in one call.
 RepairReport repair(const kvstore::Store& authority, kvstore::Store& target,
-                    net::Fabric* fabric, const RepairConfig& config = {},
+                    const RepairConfig& config = {},
                     const KeyFilter& filter = nullptr);
 
 }  // namespace hetsim::ha

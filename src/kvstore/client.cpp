@@ -89,10 +89,6 @@ Client::Client(net::Fabric& fabric, net::HostId self, net::HostId target,
   retry_.validate();
 }
 
-bool Client::faults_active() const noexcept {
-  return fault_ != nullptr && fault_->enabled();
-}
-
 double Client::backoff_s(std::size_t retry) {
   double wait = retry_.base_backoff_s;
   for (std::size_t i = 1; i < retry && wait < retry_.max_backoff_s; ++i) {
@@ -102,15 +98,6 @@ double Client::backoff_s(std::size_t retry) {
   // Deterministic jitter in [1.0, 1.5): de-synchronizes retry storms
   // without breaking reproducibility (seeded per client).
   return wait * (1.0 + 0.5 * jitter_rng_.uniform());
-}
-
-std::size_t Client::request_bytes(const Command& cmd) {
-  // Exact RESP2 wire size (what hiredis would put on the socket).
-  return resp::command_wire_size(cmd);
-}
-
-std::size_t Client::response_bytes(const Command& cmd, const Reply& reply) {
-  return resp::reply_wire_size(cmd.type, reply);
 }
 
 Reply apply_command(Store& store, const Command& cmd) {
@@ -162,144 +149,115 @@ Reply apply_command(Store& store, const Command& cmd) {
   return r;
 }
 
-Reply Client::apply(const Command& cmd) { return apply_command(store_, cmd); }
-
 Reply Client::execute(const Command& cmd) {
   return execute(cmd, retry_.deadline_s);
 }
 
 Reply Client::execute(const Command& cmd, double budget_s) {
-  const double deadline_s = std::min(budget_s, retry_.deadline_s);
+  std::vector<Reply> out;
+  round_trip(std::span(&cmd, 1), std::min(budget_s, retry_.deadline_s), out);
+  return std::move(out.front());
+}
+
+void Client::round_trip(std::span<const Command> cmds, double deadline_s,
+                        std::vector<Reply>& out) {
+  const auto fail = [&](Status status) {
+    for (std::size_t i = 0; i < cmds.size(); ++i) {
+      out.push_back(Reply{.status = status});
+    }
+    fabric_.note_failure();
+  };
   if (deadline_s <= 0.0) {
     // Caller's budget already spent: fail without touching the wire so
     // the exhausted deadline is not overdrawn.
-    fabric_.note_failure();
-    Reply failed;
-    failed.status = Status::kUnavailable;
-    return failed;
+    fail(Status::kUnavailable);
+    return;
   }
-  if (store_.is_down()) return execute_down(cmd, deadline_s);
-  if (!faults_active()) {
-    // Fault-free fast path: unchanged arithmetic, so runs without an
-    // injector (or with an empty plan) stay byte-identical to the
-    // pre-fault-injection simulator.
-    Reply reply = apply(cmd);
-    const std::size_t req = request_bytes(cmd);
-    const std::size_t rsp = response_bytes(cmd, reply);
-    sim_time_ += fabric_.exchange_cost(self_, target_, req, rsp);
-    fabric_.record(self_, target_, /*requests=*/1, /*round_trips=*/1,
-                   req + rsp);
-    return reply;
+  bool batch_idempotent = true;
+  std::size_t req = 0;
+  for (const Command& cmd : cmds) {
+    batch_idempotent = batch_idempotent && idempotent(cmd.type);
+    req += resp::command_wire_size(cmd);
   }
-  return execute_with_faults(cmd, deadline_s);
-}
-
-Reply Client::execute_down(const Command& cmd, double deadline_s) {
-  // A fail-stopped store never answers: the command is never applied
-  // (no zombie acks from a crashed replica) and each attempt waits out
-  // the full attempt timeout, exactly like a lost request.
-  const std::size_t req = request_bytes(cmd);
+  // A fail-stopped store never answers and applies nothing (no zombie
+  // acks from a crashed replica). Without an enabled injector no draws
+  // are taken, so fault-free arithmetic is exactly the plain cost model.
+  const bool down = store_.is_down();
+  const bool draws = !down && fault_ != nullptr && fault_->enabled();
   double elapsed = 0.0;
   for (std::size_t attempt = 1;; ++attempt) {
     fabric_.note_attempt();
-    sim_time_ += retry_.attempt_timeout_s;
-    elapsed += retry_.attempt_timeout_s;
-    fabric_.record(self_, target_, 1, 1, req);
-    if (!idempotent(cmd.type)) {
-      fabric_.note_timeout();
-      fabric_.note_failure();
-      Reply failed;
-      failed.status = Status::kTimeout;
-      return failed;
-    }
-    if (attempt >= retry_.max_attempts || elapsed >= deadline_s) {
-      fabric_.note_timeout();
-      fabric_.note_failure();
-      Reply failed;
-      failed.status = Status::kUnavailable;
-      return failed;
-    }
-    fabric_.note_retry();
-    const double wait = backoff_s(attempt);
-    sim_time_ += wait;
-    elapsed += wait;
-  }
-}
-
-Reply Client::execute_with_faults(const Command& cmd, double deadline_s) {
-  const std::size_t req = request_bytes(cmd);
-  double elapsed = 0.0;
-  Status last = Status::kError;
-  for (std::size_t attempt = 1;; ++attempt) {
-    fabric_.note_attempt();
-    const fault::RoundTripFault net = fault_->on_round_trip(self_, target_);
-    if (net.partitioned || net.dropped) {
-      if (net.dropped && !net.request_lost) {
-        // Reached the server and was applied; the reply was lost in
-        // flight, so the client genuinely cannot observe its status.
-        (void)apply(cmd);  // hetsim-analyze: allow(status-flow)
+    fault::RoundTripFault net;
+    double stall = 0.0;
+    Status outcome = down ? Status::kTimeout : Status::kOk;
+    bool applied_unseen = false;  // applied, but the reply never arrives
+    std::size_t error_reply = 0;
+    if (draws) {
+      net = fault_->on_round_trip(self_, target_);
+      if (net.partitioned || net.dropped) {
+        outcome = Status::kTimeout;
+        applied_unseen = net.dropped && !net.request_lost;
+      } else {
+        const fault::StoreFault sf = fault_->on_store_op(target_);
+        if (sf == fault::StoreFault::kError || sf == fault::StoreFault::kDown) {
+          outcome = Status::kError;
+          error_reply = sf == fault::StoreFault::kDown
+                            ? kStoreDownReply.size()
+                            : kInjectedErrorReply.size();
+        } else if (sf == fault::StoreFault::kStall) {
+          stall = fault_->stall_seconds(target_);
+          // A reply arriving after the client gave up is
+          // indistinguishable from a lost one.
+          if (stall >= retry_.attempt_timeout_s) {
+            outcome = Status::kTimeout;
+            applied_unseen = true;
+          }
+        }
       }
+    }
+    if (applied_unseen) {
+      for (const Command& cmd : cmds) {
+        (void)apply_command(store_, cmd);  // hetsim-analyze: allow(status-flow)
+      }
+    }
+    if (outcome == Status::kOk) {
+      std::size_t bytes = 0;
+      for (const Command& cmd : cmds) {
+        Reply reply = apply_command(store_, cmd);
+        bytes += resp::command_wire_size(cmd) +
+                 resp::reply_wire_size(cmd.type, reply);
+        out.push_back(std::move(reply));
+      }
+      sim_time_ += fabric_.round_trip_cost(self_, target_, bytes) +
+                   net.extra_latency_s + stall;
+      fabric_.record(self_, target_, cmds.size(), 1, bytes);
+      return;
+    }
+    if (outcome == Status::kTimeout) {
       // The client waits out the full attempt timeout for a reply that
       // never comes; only the request's bytes ever hit the wire.
       sim_time_ += retry_.attempt_timeout_s;
       elapsed += retry_.attempt_timeout_s;
-      fabric_.record(self_, target_, 1, 1, req);
-      last = Status::kTimeout;
+      fabric_.record(self_, target_, cmds.size(), 1, req);
     } else {
-      const fault::StoreFault sf = fault_->on_store_op(target_);
-      if (sf == fault::StoreFault::kError || sf == fault::StoreFault::kDown) {
-        const std::size_t rsp = sf == fault::StoreFault::kDown
-                                    ? kStoreDownReply.size()
-                                    : kInjectedErrorReply.size();
-        const double cost =
-            fabric_.exchange_cost(self_, target_, req, rsp) +
-            net.extra_latency_s;
-        sim_time_ += cost;
-        elapsed += cost;
-        fabric_.record(self_, target_, 1, 1, req + rsp);
-        last = Status::kError;
-      } else {
-        const double stall = sf == fault::StoreFault::kStall
-                                 ? fault_->stall_seconds(target_)
-                                 : 0.0;
-        if (stall >= retry_.attempt_timeout_s) {
-          // The server applied the command but its reply arrives after
-          // the client gave up — indistinguishable from a lost reply,
-          // so its status is unobservable by design.
-          (void)apply(cmd);  // hetsim-analyze: allow(status-flow)
-          sim_time_ += retry_.attempt_timeout_s;
-          elapsed += retry_.attempt_timeout_s;
-          fabric_.record(self_, target_, 1, 1, req);
-          last = Status::kTimeout;
-        } else {
-          Reply reply = apply(cmd);
-          const std::size_t rsp = response_bytes(cmd, reply);
-          const double cost =
-              fabric_.exchange_cost(self_, target_, req, rsp) +
-              net.extra_latency_s + stall;
-          sim_time_ += cost;
-          elapsed += cost;
-          fabric_.record(self_, target_, 1, 1, req + rsp);
-          reply.status = Status::kOk;
-          return reply;
-        }
-      }
+      const double cost =
+          fabric_.round_trip_cost(self_, target_, req + error_reply) +
+          net.extra_latency_s;
+      sim_time_ += cost;
+      elapsed += cost;
+      fabric_.record(self_, target_, cmds.size(), 1, req + error_reply);
     }
-    // A timeout is ambiguous — the command may have been applied — so a
-    // non-idempotent command must not be retried (double-apply risk).
-    if (last == Status::kTimeout && !idempotent(cmd.type)) {
+    // A timeout is ambiguous (the batch may have been applied), so a
+    // batch holding a non-idempotent command must not be retried.
+    if (outcome == Status::kTimeout && !batch_idempotent) {
       fabric_.note_timeout();
-      fabric_.note_failure();
-      Reply failed;
-      failed.status = Status::kTimeout;
-      return failed;
+      fail(Status::kTimeout);
+      return;
     }
     if (attempt >= retry_.max_attempts || elapsed >= deadline_s) {
-      if (last == Status::kTimeout) fabric_.note_timeout();
-      fabric_.note_failure();
-      Reply failed;
-      failed.status = Status::kUnavailable;
-      return failed;
+      if (outcome == Status::kTimeout) fabric_.note_timeout();
+      fail(Status::kUnavailable);
+      return;
     }
     fabric_.note_retry();
     const double wait = backoff_s(attempt);
@@ -369,172 +327,8 @@ void Client::enqueue(Command cmd) {
 
 void Client::flush_queue(double deadline_s) {
   if (queue_.empty()) return;
-  if (deadline_s <= 0.0) {
-    for (std::size_t i = 0; i < queue_.size(); ++i) {
-      Reply failed;
-      failed.status = Status::kUnavailable;
-      pending_replies_.push_back(std::move(failed));
-    }
-    queue_.clear();
-    fabric_.note_failure();
-    return;
-  }
-  if (store_.is_down()) {
-    flush_queue_down(deadline_s);
-    return;
-  }
-  if (faults_active()) {
-    flush_queue_with_faults(deadline_s);
-    return;
-  }
-  std::vector<std::size_t> payloads;
-  payloads.reserve(queue_.size());
-  std::size_t bytes = 0;
-  for (const Command& cmd : queue_) {
-    Reply reply = apply(cmd);
-    const std::size_t p = request_bytes(cmd) + response_bytes(cmd, reply);
-    payloads.push_back(p);
-    bytes += p;
-    pending_replies_.push_back(std::move(reply));
-  }
-  sim_time_ += fabric_.pipelined_cost(self_, target_, payloads);
-  fabric_.record(self_, target_, queue_.size(), /*round_trips=*/1, bytes);
+  round_trip(queue_, deadline_s, pending_replies_);
   queue_.clear();
-}
-
-void Client::flush_queue_down(double deadline_s) {
-  // Same semantics as execute_down(), batched: the pipeline fails as a
-  // unit, nothing is applied, each attempt burns the attempt timeout.
-  const std::size_t n = queue_.size();
-  bool batch_idempotent = true;
-  std::size_t req_total = 0;
-  for (const Command& cmd : queue_) {
-    batch_idempotent = batch_idempotent && idempotent(cmd.type);
-    req_total += request_bytes(cmd);
-  }
-  double elapsed = 0.0;
-  for (std::size_t attempt = 1;; ++attempt) {
-    fabric_.note_attempt();
-    sim_time_ += retry_.attempt_timeout_s;
-    elapsed += retry_.attempt_timeout_s;
-    fabric_.record(self_, target_, n, 1, req_total);
-    const bool give_up =
-        !batch_idempotent || attempt >= retry_.max_attempts ||
-        elapsed >= deadline_s;
-    if (give_up) {
-      const Status status =
-          batch_idempotent ? Status::kUnavailable : Status::kTimeout;
-      for (std::size_t i = 0; i < n; ++i) {
-        Reply failed;
-        failed.status = status;
-        pending_replies_.push_back(std::move(failed));
-      }
-      queue_.clear();
-      fabric_.note_timeout();
-      fabric_.note_failure();
-      return;
-    }
-    fabric_.note_retry();
-    const double wait = backoff_s(attempt);
-    sim_time_ += wait;
-    elapsed += wait;
-  }
-}
-
-void Client::flush_queue_with_faults(double deadline_s) {
-  // A pipelined batch is ONE round trip (that is the point of
-  // pipelining), so it gets one network draw and one store-interaction
-  // draw per attempt, and fails or succeeds as a unit.
-  const std::size_t n = queue_.size();
-  bool batch_idempotent = true;
-  std::size_t req_total = 0;
-  for (const Command& cmd : queue_) {
-    batch_idempotent = batch_idempotent && idempotent(cmd.type);
-    req_total += request_bytes(cmd);
-  }
-  const auto fail_batch = [&](Status status, bool timed_out) {
-    for (std::size_t i = 0; i < n; ++i) {
-      Reply failed;
-      failed.status = status;
-      pending_replies_.push_back(std::move(failed));
-    }
-    queue_.clear();
-    if (timed_out) fabric_.note_timeout();
-    fabric_.note_failure();
-  };
-  double elapsed = 0.0;
-  Status last = Status::kError;
-  for (std::size_t attempt = 1;; ++attempt) {
-    fabric_.note_attempt();
-    const fault::RoundTripFault net = fault_->on_round_trip(self_, target_);
-    if (net.partitioned || net.dropped) {
-      if (net.dropped && !net.request_lost) {
-        for (const Command& cmd : queue_) (void)apply(cmd);
-      }
-      sim_time_ += retry_.attempt_timeout_s;
-      elapsed += retry_.attempt_timeout_s;
-      fabric_.record(self_, target_, n, 1, req_total);
-      last = Status::kTimeout;
-    } else {
-      const fault::StoreFault sf = fault_->on_store_op(target_);
-      if (sf == fault::StoreFault::kError || sf == fault::StoreFault::kDown) {
-        const std::size_t rsp = sf == fault::StoreFault::kDown
-                                    ? kStoreDownReply.size()
-                                    : kInjectedErrorReply.size();
-        const double cost =
-            fabric_.exchange_cost(self_, target_, req_total, rsp) +
-            net.extra_latency_s;
-        sim_time_ += cost;
-        elapsed += cost;
-        fabric_.record(self_, target_, n, 1, req_total + rsp);
-        last = Status::kError;
-      } else {
-        const double stall = sf == fault::StoreFault::kStall
-                                 ? fault_->stall_seconds(target_)
-                                 : 0.0;
-        if (stall >= retry_.attempt_timeout_s) {
-          for (const Command& cmd : queue_) (void)apply(cmd);
-          sim_time_ += retry_.attempt_timeout_s;
-          elapsed += retry_.attempt_timeout_s;
-          fabric_.record(self_, target_, n, 1, req_total);
-          last = Status::kTimeout;
-        } else {
-          std::vector<std::size_t> payloads;
-          payloads.reserve(n);
-          std::size_t bytes = 0;
-          for (const Command& cmd : queue_) {
-            Reply reply = apply(cmd);
-            const std::size_t p =
-                request_bytes(cmd) + response_bytes(cmd, reply);
-            payloads.push_back(p);
-            bytes += p;
-            reply.status = Status::kOk;
-            pending_replies_.push_back(std::move(reply));
-          }
-          const double cost =
-              fabric_.pipelined_cost(self_, target_, payloads) +
-              net.extra_latency_s + stall;
-          sim_time_ += cost;
-          elapsed += cost;
-          fabric_.record(self_, target_, n, 1, bytes);
-          queue_.clear();
-          return;
-        }
-      }
-    }
-    if (last == Status::kTimeout && !batch_idempotent) {
-      fail_batch(Status::kTimeout, /*timed_out=*/true);
-      return;
-    }
-    if (attempt >= retry_.max_attempts || elapsed >= deadline_s) {
-      fail_batch(Status::kUnavailable, last == Status::kTimeout);
-      return;
-    }
-    fabric_.note_retry();
-    const double wait = backoff_s(attempt);
-    sim_time_ += wait;
-    elapsed += wait;
-  }
 }
 
 std::vector<Reply> Client::drain() { return drain(retry_.deadline_s); }

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -192,19 +193,16 @@ class Client {
   }
 
  private:
-  Reply apply(const Command& cmd);
-  [[nodiscard]] static std::size_t request_bytes(const Command& cmd);
-  [[nodiscard]] static std::size_t response_bytes(const Command& cmd,
-                                                  const Reply& reply);
+  /// The client's one round trip: `cmds` (one command or a whole
+  /// pipeline) travel as a single wire exchange under the retry loop,
+  /// and fail or succeed as a unit. Each attempt is lost (fail-stopped
+  /// store, dropped request or reply, severed link, stall past the
+  /// attempt timeout: nothing applied unless the reply was lost after
+  /// the server acted), answered by an error reply, or delivered.
+  /// Appends one reply per command to `out`.
+  void round_trip(std::span<const Command> cmds, double deadline_s,
+                  std::vector<Reply>& out);
   void flush_queue(double deadline_s);
-  [[nodiscard]] bool faults_active() const noexcept;
-  [[nodiscard]] Reply execute_with_faults(const Command& cmd,
-                                          double deadline_s);
-  void flush_queue_with_faults(double deadline_s);
-  /// A fail-stopped store never replies: each attempt burns the full
-  /// attempt timeout, like a lost request.
-  [[nodiscard]] Reply execute_down(const Command& cmd, double deadline_s);
-  void flush_queue_down(double deadline_s);
   /// Backoff before retry number `retry` (1-based), jittered.
   [[nodiscard]] double backoff_s(std::size_t retry);
 

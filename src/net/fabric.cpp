@@ -17,26 +17,12 @@ void Fabric::check_host(HostId h) const {
   common::require<common::ConfigError>(h < hosts_, "Fabric: host id out of range");
 }
 
-double Fabric::exchange_cost(HostId src, HostId dst, std::size_t request_bytes,
-                             std::size_t response_bytes) const {
+double Fabric::round_trip_cost(HostId src, HostId dst,
+                               std::size_t bytes) const {
   check_host(src);
   check_host(dst);
   const LinkSpec& spec = spec_for(src, dst);
-  const double payload =
-      static_cast<double>(request_bytes + response_bytes) / spec.bandwidth_bps;
-  // A request/response exchange pays the latency twice (there and back).
-  return 2.0 * spec.latency_s + payload;
-}
-
-double Fabric::pipelined_cost(HostId src, HostId dst,
-                              const std::vector<std::size_t>& payload_bytes) const {
-  check_host(src);
-  check_host(dst);
-  if (payload_bytes.empty()) return 0.0;
-  const LinkSpec& spec = spec_for(src, dst);
-  std::size_t total = 0;
-  for (const std::size_t b : payload_bytes) total += b;
-  return 2.0 * spec.latency_s + static_cast<double>(total) / spec.bandwidth_bps;
+  return 2.0 * spec.latency_s + static_cast<double>(bytes) / spec.bandwidth_bps;
 }
 
 void Fabric::record(HostId src, HostId dst, std::uint64_t requests,

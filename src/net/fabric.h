@@ -3,10 +3,10 @@
 // The paper's middleware talks to one Redis instance per node; its
 // performance discussion (section IV) hinges on request batching: millions
 // of small get/put requests are disastrous, while list-packed blobs and
-// pipelining amortize the round trip. Fabric models exactly that cost
-// structure: a round trip costs one latency plus payload/bandwidth, and a
-// pipelined batch of k requests costs ONE latency plus the summed payload
-// cost, instead of k latencies.
+// pipelining amortize the round trip. Fabric prices that with one rule,
+// round_trip_cost: a round trip costs the latency both ways plus its
+// payload at link bandwidth, and a pipelined batch of k requests is ONE
+// round trip carrying the summed payload, instead of k round trips.
 //
 // Costs are returned as simulated seconds; the caller (usually a
 // cluster::VirtualClock) decides what to do with them. Fabric also keeps
@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <map>
 #include <utility>
-#include <vector>
 
 namespace hetsim::fault {
 class FaultInjector;
@@ -54,18 +53,6 @@ struct RetryStats {
   std::uint64_t failures = 0;  // operations that exhausted their retries
 };
 
-/// Traffic counters of the HA anti-entropy repair channel (src/ha). A
-/// repair exchange ships the invertible-Bloom-filter sketches plus the
-/// reconciled delta payload — the whole point of IBF reconciliation is
-/// that ibf_bytes + payload_bytes stays far below a full store copy, so
-/// the fabric tracks the two separately for benches to assert on.
-struct RepairStats {
-  std::uint64_t exchanges = 0;      // repair sessions completed
-  std::uint64_t ibf_bytes = 0;      // sketch bytes shipped
-  std::uint64_t payload_bytes = 0;  // delta key/value bytes shipped
-  std::uint64_t keys_repaired = 0;  // keys copied or deleted to converge
-};
-
 /// A deterministic network cost simulator.
 class Fabric {
  public:
@@ -77,17 +64,11 @@ class Fabric {
 
   [[nodiscard]] std::uint32_t hosts() const noexcept { return hosts_; }
 
-  /// Cost in seconds of one request/response exchange carrying
-  /// `request_bytes` + `response_bytes` of payload.
-  [[nodiscard]] double exchange_cost(HostId src, HostId dst,
-                                     std::size_t request_bytes,
-                                     std::size_t response_bytes) const;
-
-  /// Cost of a pipelined batch: one latency for the whole batch, payload
-  /// charged per byte. `payload_bytes` lists per-request request+response
-  /// sizes. Returns total seconds.
-  [[nodiscard]] double pipelined_cost(
-      HostId src, HostId dst, const std::vector<std::size_t>& payload_bytes) const;
+  /// Cost in seconds of one round trip carrying `bytes` of payload in
+  /// total (requests plus responses): the latency both ways plus the
+  /// payload at link bandwidth. A pipelined batch is one round trip.
+  [[nodiscard]] double round_trip_cost(HostId src, HostId dst,
+                                       std::size_t bytes) const;
 
   /// Record that an exchange of `requests` logical requests in
   /// `round_trips` actual exchanges moved `bytes` over src->dst.
@@ -118,20 +99,6 @@ class Fabric {
     return retry_stats_;
   }
 
-  // ---- HA repair channel ---------------------------------------------
-  /// Record one anti-entropy repair exchange between two replicas (the
-  /// HA layer charges virtual time separately via exchange_cost).
-  void note_repair(std::uint64_t ibf_bytes, std::uint64_t payload_bytes,
-                   std::uint64_t keys_repaired) noexcept {
-    ++repair_stats_.exchanges;
-    repair_stats_.ibf_bytes += ibf_bytes;
-    repair_stats_.payload_bytes += payload_bytes;
-    repair_stats_.keys_repaired += keys_repaired;
-  }
-  [[nodiscard]] const RepairStats& repair_stats() const noexcept {
-    return repair_stats_;
-  }
-
   [[nodiscard]] const LinkSpec& remote_spec() const noexcept { return remote_; }
   [[nodiscard]] const LinkSpec& local_spec() const noexcept { return local_; }
 
@@ -146,7 +113,6 @@ class Fabric {
   LinkSpec local_;
   std::map<std::pair<HostId, HostId>, LinkStats> stats_;
   RetryStats retry_stats_;
-  RepairStats repair_stats_;
   fault::FaultInjector* fault_ = nullptr;
 };
 

@@ -32,6 +32,13 @@ std::string record_key(std::uint32_t idx) {
   return "data:" + std::to_string(idx);
 }
 
+/// Canonical payloads of a list of records, position by position.
+struct FetchedRecords {
+  std::vector<std::string> blobs;
+  std::vector<char> have;  // 1 where blobs holds the record
+  std::size_t from_replicas = 0;  // served by the replica walk
+};
+
 }  // namespace
 
 std::string summary_json(const JobSummary& s) {
@@ -456,6 +463,61 @@ JobSummary JobRuntime::run(const data::Dataset& dataset,
     return PhaseResult::ok();
   });
 
+  // Read the canonical payloads of records `idx` over `ctx`'s
+  // connections: the master's "data" list first when `master_first`,
+  // then, on a replicated plane, the replica walk for whatever is still
+  // missing (batched to the acting primaries, falling back
+  // replica-by-replica). Shared by the partition load and re-plan
+  // transfers so both pay the same wire ops in the same order.
+  const auto fetch_records = [&](cluster::NodeContext& ctx,
+                                 std::span<const std::uint32_t> idx,
+                                 bool master_first) {
+    FetchedRecords f;
+    f.blobs.resize(idx.size());
+    f.have.assign(idx.size(), 0);
+    if (master_first) {
+      kvstore::Client& from_master = ctx.client(master_);
+      for (const std::uint32_t i : idx) {
+        from_master.enqueue({.type = kvstore::CommandType::kLIndex,
+                             .key = "data",
+                             .arg0 = static_cast<std::int64_t>(i)});
+      }
+      std::vector<kvstore::Reply> replies = from_master.drain();
+      const std::size_t m = std::min(replies.size(), idx.size());
+      for (std::size_t k = 0; k < m; ++k) {
+        if (replies[k].status == kvstore::Status::kOk && replies[k].ok) {
+          f.blobs[k] = std::move(replies[k].blob);
+          f.have[k] = 1;
+        }
+      }
+    }
+    if (router_ == nullptr) return f;
+    std::vector<std::string> keys;
+    std::vector<std::size_t> pos;
+    for (std::size_t k = 0; k < idx.size(); ++k) {
+      if (f.have[k] == 0) {
+        keys.push_back(record_key(idx[k]));
+        pos.push_back(k);
+      }
+    }
+    if (keys.empty()) return f;
+    ha::Client replicated(*router_,
+                          [&ctx](net::HostId target) -> kvstore::Client& {
+                            return ctx.client(target);
+                          });
+    std::vector<ha::ReadResult> results = replicated.get_many(keys);
+    const std::size_t m = std::min(results.size(), pos.size());
+    for (std::size_t k = 0; k < m; ++k) {
+      kvstore::Reply& r = results[k].reply;
+      if (r.status == kvstore::Status::kOk && r.ok) {
+        f.blobs[pos[k]] = std::move(r.blob);
+        f.have[pos[k]] = 1;
+        ++f.from_replicas;
+      }
+    }
+    return f;
+  };
+
   add_phase("partition", PhaseKind::kPartition,
             {"ingest", "stratify", "optimize"}, retries,
             JobStatus::kDataUnavailable, [&](const PhaseAttempt& at) {
@@ -475,55 +537,12 @@ JobSummary JobRuntime::run(const data::Dataset& dataset,
     for (std::size_t node = 0; node < p; ++node) {
       tasks.push_back([&, node](cluster::NodeContext& ctx) {
         const std::vector<std::uint32_t>& part = assignment->partitions[node];
-        std::vector<std::string> blobs(part.size());
-        std::vector<char> have(part.size(), 0);
-        if (!data_on_replicas) {
-          kvstore::Client& from_master = ctx.client(master_);
-          for (const std::uint32_t idx : part) {
-            from_master.enqueue({.type = kvstore::CommandType::kLIndex,
-                                 .key = "data",
-                                 .arg0 = static_cast<std::int64_t>(idx)});
-          }
-          const std::vector<kvstore::Reply> replies = from_master.drain();
-          const std::size_t m = std::min(replies.size(), part.size());
-          for (std::size_t i = 0; i < m; ++i) {
-            if (replies[i].status == kvstore::Status::kOk && replies[i].ok) {
-              blobs[i] = replies[i].blob;
-              have[i] = 1;
-            }
-          }
-        }
-        if (router_ != nullptr) {
-          // Replica walk for every record the master could not serve
-          // (or all of them when the canonical list never landed).
-          std::vector<std::string> keys;
-          std::vector<std::size_t> pos;
-          for (std::size_t i = 0; i < part.size(); ++i) {
-            if (have[i] == 0) {
-              keys.push_back(record_key(part[i]));
-              pos.push_back(i);
-            }
-          }
-          if (!keys.empty()) {
-            ha::Client replicated(
-                *router_, [&ctx](net::HostId target) -> kvstore::Client& {
-                  return ctx.client(target);
-                });
-            const std::vector<ha::ReadResult> results =
-                replicated.get_many(keys);
-            const std::size_t m = std::min(results.size(), pos.size());
-            for (std::size_t k = 0; k < m; ++k) {
-              const kvstore::Reply& r = results[k].reply;
-              if (r.status == kvstore::Status::kOk && r.ok) {
-                blobs[pos[k]] = r.blob;
-                have[pos[k]] = 1;
-                ++replica_pulled[node];
-              }
-            }
-          }
-        }
+        // The replica walk serves what the master could not (or all of
+        // it when the canonical list never landed).
+        FetchedRecords f = fetch_records(ctx, part, !data_on_replicas);
+        replica_pulled[node] = f.from_replicas;
         for (std::size_t i = 0; i < part.size(); ++i) {
-          if (have[i] == 0) unreadable[node].push_back(part[i]);
+          if (f.have[i] == 0) unreadable[node].push_back(part[i]);
         }
         // Local staging: the partition list is the execution phase's
         // wire-cost medium (records are processed from the in-memory
@@ -534,10 +553,10 @@ JobSummary JobRuntime::run(const data::Dataset& dataset,
              .key = spec_.partition_key});
         if (del.status != kvstore::Status::kOk) ++staging_failures[node];
         for (std::size_t i = 0; i < part.size(); ++i) {
-          if (have[i] == 0) continue;
+          if (f.have[i] == 0) continue;
           local.enqueue({.type = kvstore::CommandType::kRPush,
                          .key = spec_.partition_key,
-                         .value = blobs[i]});
+                         .value = std::move(f.blobs[i])});
         }
         for (const kvstore::Reply& r : local.drain()) {
           if (r.status != kvstore::Status::kOk) ++staging_failures[node];
@@ -662,63 +681,19 @@ JobSummary JobRuntime::run(const data::Dataset& dataset,
       std::vector<std::uint32_t> delivered;
       std::vector<std::uint32_t> undeliverable;
       delivered.reserve(taken.size());
-      if (router_ != nullptr) {
-        // Replicated plane: pull each payload from whichever replica
-        // of its key is alive (batched to the acting primaries,
-        // falling back replica-by-replica).
-        ha::Client replicated(
-            *router_,
-            [&ctx_to](net::HostId target) -> kvstore::Client& {
-              return ctx_to.client(target);
-            });
-        std::vector<std::string> keys;
-        keys.reserve(taken.size());
-        for (const std::uint32_t idx : taken) {
-          keys.push_back(record_key(idx));
-        }
-        const std::vector<ha::ReadResult> results =
-            replicated.get_many(keys);
-        const std::size_t m = std::min(results.size(), taken.size());
-        for (std::size_t k = 0; k < m; ++k) {
-          const kvstore::Reply& r = results[k].reply;
-          if (r.status == kvstore::Status::kOk && r.ok) {
-            out.bytes += static_cast<double>(r.blob.size());
-            local.enqueue({.type = kvstore::CommandType::kRPush,
-                           .key = spec_.partition_key,
-                           .value = r.blob});
-            delivered.push_back(taken[k]);
-          } else {
-            undeliverable.push_back(taken[k]);
-          }
-        }
-        for (std::size_t k = m; k < taken.size(); ++k) {
+      // Replicated plane: whichever replica of each key is alive;
+      // otherwise the data master.
+      FetchedRecords f = fetch_records(ctx_to, taken, router_ == nullptr);
+      for (std::size_t k = 0; k < taken.size(); ++k) {
+        if (f.have[k] == 0) {
           undeliverable.push_back(taken[k]);
+          continue;
         }
-      } else {
-        kvstore::Client& from_master = ctx_to.client(master_);
-        for (const std::uint32_t idx : taken) {
-          from_master.enqueue(
-              {.type = kvstore::CommandType::kLIndex,
-               .key = "data",
-               .arg0 = static_cast<std::int64_t>(idx)});
-        }
-        const std::vector<kvstore::Reply> replies = from_master.drain();
-        const std::size_t m = std::min(replies.size(), taken.size());
-        for (std::size_t k = 0; k < m; ++k) {
-          const kvstore::Reply& r = replies[k];
-          if (r.status == kvstore::Status::kOk && r.ok) {
-            out.bytes += static_cast<double>(r.blob.size());
-            local.enqueue({.type = kvstore::CommandType::kRPush,
-                           .key = spec_.partition_key,
-                           .value = r.blob});
-            delivered.push_back(taken[k]);
-          } else {
-            undeliverable.push_back(taken[k]);
-          }
-        }
-        for (std::size_t k = m; k < taken.size(); ++k) {
-          undeliverable.push_back(taken[k]);
-        }
+        out.bytes += static_cast<double>(f.blobs[k].size());
+        local.enqueue({.type = kvstore::CommandType::kRPush,
+                       .key = spec_.partition_key,
+                       .value = std::move(f.blobs[k])});
+        delivered.push_back(taken[k]);
       }
       for (const kvstore::Reply& r : local.drain()) {
         if (r.status != kvstore::Status::kOk) {
@@ -742,6 +717,26 @@ JobSummary JobRuntime::run(const data::Dataset& dataset,
                        {"from", static_cast<double>(from)},
                        {"bytes", out.bytes}});
       return out;
+    };
+
+    // Live nodes in id order with their planning models and observed
+    // progress: the input of both node-loss and straggler re-plans.
+    struct Survivors {
+      std::vector<std::uint32_t> ids;
+      std::vector<optimize::NodeModel> models;
+      std::vector<NodeObservation> obs;
+    };
+    const auto survivors = [&] {
+      Survivors sv;
+      for (std::uint32_t id = 0; id < p; ++id) {
+        if (lost[id] != 0) continue;
+        sv.ids.push_back(id);
+        sv.models.push_back(models_[id]);
+        sv.obs.push_back(NodeObservation{executor.progress(id).records_done,
+                                         executor.progress(id).busy_s(),
+                                         executor.remaining(id)});
+      }
+      return sv;
     };
 
     executor.set_checkpoint([&](std::uint32_t node) {
@@ -814,23 +809,11 @@ JobSummary JobRuntime::run(const data::Dataset& dataset,
             continue;
           }
           std::vector<std::uint32_t> orphans = executor.take_all(d);
-          std::vector<std::uint32_t> surv;
-          for (std::uint32_t i = 0; i < p; ++i) {
-            if (lost[i] == 0) surv.push_back(i);
-          }
-          // At least `node` is alive, so surv is never empty.
-          std::vector<optimize::NodeModel> surv_models(surv.size());
-          std::vector<NodeObservation> surv_obs(surv.size());
-          for (std::size_t k = 0; k < surv.size(); ++k) {
-            const std::uint32_t id = surv[k];
-            surv_models[k] = models_[id];
-            surv_obs[k] =
-                NodeObservation{executor.progress(id).records_done,
-                                executor.progress(id).busy_s(),
-                                executor.remaining(id)};
-          }
+          // At least `node` is alive, so the snapshot is never empty.
+          const Survivors sv = survivors();
+          const std::vector<std::uint32_t>& surv = sv.ids;
           const std::vector<optimize::NodeModel> refit =
-              refit_models(surv_models, surv_obs,
+              refit_models(sv.models, sv.obs,
                            spec_.straggler.min_observed_records);
           // Granularity floor: never hand a survivor less than
           // one chunk of orphans. Sub-chunk slivers are poison
@@ -908,39 +891,28 @@ JobSummary JobRuntime::run(const data::Dataset& dataset,
       // node must never be detected as a straggler, donate, or
       // receive migrated work. With no losses `surv` is the
       // identity and the computation is unchanged.
-      std::vector<std::uint32_t> surv;
-      for (std::uint32_t i = 0; i < p; ++i) {
-        if (lost[i] == 0) surv.push_back(i);
-      }
+      const Survivors sv = survivors();
+      const std::vector<std::uint32_t>& surv = sv.ids;
       if (surv.size() < 2) return;
-      std::vector<optimize::NodeModel> surv_models(surv.size());
-      std::vector<NodeObservation> obs(surv.size());
-      for (std::size_t k = 0; k < surv.size(); ++k) {
-        const std::uint32_t id = surv[k];
-        surv_models[k] = models_[id];
-        obs[k] = NodeObservation{executor.progress(id).records_done,
-                                 executor.progress(id).busy_s(),
-                                 executor.remaining(id)};
-      }
       const std::vector<std::uint32_t> stragglers =
-          detect_stragglers(surv_models, obs, spec_.straggler);
+          detect_stragglers(sv.models, sv.obs, spec_.straggler);
       if (stragglers.empty()) return;
 
       ++summary.replans;
       summary.stragglers_detected += stragglers.size();
       const std::vector<double> observed = observed_slopes(
-          surv_models, obs, spec_.straggler.min_observed_records);
+          sv.models, sv.obs, spec_.straggler.min_observed_records);
       for (const std::uint32_t s : stragglers) {
         trace_.add_instant("straggler", "replan", surv[s],
                            exec_base + executor.node_time(surv[s]),
                            {{"observed_slope", observed[s]},
-                            {"model_slope", surv_models[s].slope}});
+                            {"model_slope", sv.models[s].slope}});
       }
 
       const std::vector<optimize::NodeModel> refit = refit_models(
-          surv_models, obs, spec_.straggler.min_observed_records);
+          sv.models, sv.obs, spec_.straggler.min_observed_records);
       const std::vector<std::size_t> target =
-          replan_remaining(refit, obs, replan_alpha);
+          replan_remaining(refit, sv.obs, replan_alpha);
       std::vector<std::size_t> current(surv.size());
       for (std::size_t k = 0; k < surv.size(); ++k) {
         current[k] = executor.remaining(surv[k]);

@@ -406,6 +406,101 @@ TEST(ClientRetry, BatchWithNonIdempotentCommandStopsAtFirstTimeout) {
   EXPECT_EQ(rig.fabric.retry_stats().attempts, 1u);
 }
 
+TEST(ClientRetry, ExecuteAndOneCommandDrainAreTheSameRoundTrip) {
+  // execute(cmd) and enqueue(cmd); drain() take the same round trip: on
+  // twin rigs they must agree on the reply, the time charged, the link
+  // counters and the retry counters, whatever each attempt's outcome.
+  struct Case {
+    const char* name;
+    FaultPlan plan;
+    bool fail_stop = false;
+    std::uint64_t attempts_idempotent = 1;  // RetryStats::attempts
+    std::uint64_t attempts_rpush = 1;
+  };
+  // Every lost attempt times out: reads retry up to the 4-attempt cap,
+  // the RPUSH stops at its first (ambiguous) timeout.
+  std::vector<Case> cases(7);
+  cases[0].name = "no faults";
+  cases[1].name = "error reply";
+  cases[1].plan.stores[1].error_prob = 1.0;
+  cases[1].attempts_idempotent = 4;
+  cases[1].attempts_rpush = 4;
+  cases[2].name = "request lost";
+  cases[2].plan.net.drop_prob = 1.0;
+  cases[2].plan.net.drop_request_lost_fraction = 1.0;
+  cases[2].attempts_idempotent = 4;
+  cases[3].name = "reply lost";
+  cases[3].plan.net.drop_prob = 1.0;
+  cases[3].plan.net.drop_request_lost_fraction = 0.0;
+  cases[3].attempts_idempotent = 4;
+  cases[4].name = "stall above the attempt timeout";
+  cases[4].plan.stores[1].stall_prob = 1.0;
+  cases[4].plan.stores[1].stall_s = 1.0;
+  cases[4].attempts_idempotent = 4;
+  cases[5].name = "stall below the attempt timeout";
+  cases[5].plan.stores[1].stall_prob = 1.0;
+  cases[5].plan.stores[1].stall_s = 0.01;
+  cases[6].name = "fail-stopped store";
+  cases[6].fail_stop = true;
+  cases[6].attempts_idempotent = 4;
+
+  struct Outcome {
+    kvstore::Reply reply;
+    double time = 0.0;
+    net::LinkStats link;
+    net::RetryStats retry;
+    std::size_t list_len = 0;
+  };
+  const kvstore::Command commands[] = {
+      {.type = kvstore::CommandType::kGet, .key = "k"},
+      {.type = kvstore::CommandType::kRPush, .key = "l", .value = "x"}};
+  for (const Case& c : cases) {
+    for (const kvstore::Command& cmd : commands) {
+      SCOPED_TRACE(std::string(c.name) + ", key " + cmd.key);
+      const auto run = [&](bool pipelined) {
+        FaultInjector inj(c.plan);
+        ClientRig rig;
+        rig.store.set("k", "value");
+        if (c.fail_stop) rig.store.fail_stop();
+        kvstore::Client client = rig.client(&inj);
+        Outcome out;
+        if (pipelined) {
+          client.enqueue(cmd);
+          std::vector<kvstore::Reply> replies = client.drain();
+          EXPECT_EQ(replies.size(), 1u);
+          out.reply = std::move(replies.front());
+        } else {
+          out.reply = client.execute(cmd);
+        }
+        out.time = client.consumed_time();
+        out.link = rig.fabric.stats(0, 1);
+        out.retry = rig.fabric.retry_stats();
+        rig.store.restart();
+        out.list_len = rig.store.llen("l");
+        return out;
+      };
+      const Outcome one = run(false);
+      const Outcome batch = run(true);
+      EXPECT_EQ(one.reply.status, batch.reply.status);
+      EXPECT_EQ(one.reply.ok, batch.reply.ok);
+      EXPECT_EQ(one.reply.blob, batch.reply.blob);
+      EXPECT_EQ(one.reply.integer, batch.reply.integer);
+      EXPECT_EQ(one.time, batch.time);
+      EXPECT_EQ(one.link.messages, batch.link.messages);
+      EXPECT_EQ(one.link.round_trips, batch.link.round_trips);
+      EXPECT_EQ(one.link.bytes, batch.link.bytes);
+      EXPECT_EQ(one.retry.attempts, batch.retry.attempts);
+      EXPECT_EQ(one.retry.retries, batch.retry.retries);
+      EXPECT_EQ(one.retry.timeouts, batch.retry.timeouts);
+      EXPECT_EQ(one.retry.failures, batch.retry.failures);
+      EXPECT_EQ(one.list_len, batch.list_len);
+      EXPECT_EQ(one.retry.attempts,
+                kvstore::idempotent(cmd.type) ? c.attempts_idempotent
+                                              : c.attempts_rpush);
+    }
+  }
+}
+
 TEST(ClientRetry, RetryTimingIsDeterministic) {
   FaultPlan plan;
   plan.seed = 11;

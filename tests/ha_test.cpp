@@ -803,8 +803,7 @@ TEST(Repair, WireCostStaysProportionalToTheDeltaNotTheKeyspace) {
     if (i >= 10) target.set(key, value);  // 10 keys differ
     keyspace_bytes += key.size() + value.size();
   }
-  const ha::RepairReport report =
-      ha::repair(authority, target, /*fabric=*/nullptr);
+  const ha::RepairReport report = ha::repair(authority, target);
   EXPECT_EQ(report.copied, 10u);
   // Sketches + delta payload come to a small fraction of shipping the
   // 2000-key keyspace.

@@ -11,28 +11,24 @@ namespace {
 
 TEST(Fabric, ExchangeCostIncludesLatencyBothWays) {
   net::Fabric f(2, net::LinkSpec{.latency_s = 1e-3, .bandwidth_bps = 1e9});
-  const double cost = f.exchange_cost(0, 1, 1000, 1000);
+  const double cost = f.round_trip_cost(0, 1, 2000);
   EXPECT_NEAR(cost, 2e-3 + 2000.0 / 1e9, 1e-12);
 }
 
 TEST(Fabric, LoopbackIsCheaper) {
   net::Fabric f(2);
-  EXPECT_LT(f.exchange_cost(0, 0, 100, 100), f.exchange_cost(0, 1, 100, 100));
+  EXPECT_LT(f.round_trip_cost(0, 0, 200), f.round_trip_cost(0, 1, 200));
 }
 
 TEST(Fabric, PipelinedBatchPaysOneLatency) {
+  // Ten 100-byte requests as one pipelined round trip against ten
+  // separate round trips.
   net::Fabric f(2, net::LinkSpec{.latency_s = 1e-3, .bandwidth_bps = 1e9});
-  std::vector<std::size_t> payloads(10, 100);
-  const double batch = f.pipelined_cost(0, 1, payloads);
+  const double batch = f.round_trip_cost(0, 1, 10 * 100);
   EXPECT_NEAR(batch, 2e-3 + 1000.0 / 1e9, 1e-12);
   double individual = 0;
-  for (int i = 0; i < 10; ++i) individual += f.exchange_cost(0, 1, 100, 0);
+  for (int i = 0; i < 10; ++i) individual += f.round_trip_cost(0, 1, 100);
   EXPECT_LT(batch, individual / 5.0);
-}
-
-TEST(Fabric, EmptyBatchIsFree) {
-  net::Fabric f(2);
-  EXPECT_EQ(f.pipelined_cost(0, 1, {}), 0.0);
 }
 
 TEST(Fabric, StatsAccumulateAndReset) {
@@ -49,7 +45,7 @@ TEST(Fabric, StatsAccumulateAndReset) {
 
 TEST(Fabric, RejectsBadHosts) {
   net::Fabric f(2);
-  EXPECT_THROW((void)f.exchange_cost(0, 5, 1, 1), common::ConfigError);
+  EXPECT_THROW((void)f.round_trip_cost(0, 5, 2), common::ConfigError);
   EXPECT_THROW(net::Fabric(0), common::ConfigError);
 }
 

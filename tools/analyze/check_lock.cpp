@@ -41,11 +41,10 @@ const std::set<std::string> kMutexTypes = {
 /// Blocking regardless of receiver: simulated network round-trips,
 /// queue drains and barrier arrivals.
 const std::set<std::string> kAlwaysBlocking = {
-    "execute",     "execute_with_faults", "drain",
-    "flush_queue", "flush_queue_with_faults", "enqueue",
-    "put_many",    "get_many",            "fan_out",
-    "read_with_fallback", "arrive_and_wait", "exchange_cost",
-    "pipelined_cost"};
+    "execute",     "round_trip",      "drain",
+    "flush_queue", "enqueue",         "put_many",
+    "get_many",    "fan_out",         "read_with_fallback",
+    "replica_op",  "arrive_and_wait", "round_trip_cost"};
 
 /// Blocking only when the receiver resolves to a client-side class
 /// (the same names exist as non-blocking Store methods).

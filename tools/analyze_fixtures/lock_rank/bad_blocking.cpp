@@ -13,7 +13,7 @@ class HotCache {
 
   void rebalance(net::Fabric& fabric) {
     check::LockGuard g(mu_);
-    fabric.exchange_cost(4, 4096);  // expect: lock-blocking
+    fabric.round_trip_cost(0, 4, 4096);  // expect: lock-blocking
   }
 
   void nap() {
