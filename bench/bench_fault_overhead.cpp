@@ -8,9 +8,9 @@
 //   1. byte-identity — the same job run with no injector and with an
 //      empty-plan injector attached must produce byte-identical
 //      summary JSON and Chrome-trace JSON (virtual time unchanged);
-//   2. wall-clock overhead — the empty-plan run must cost < 2% extra
-//      real time (median ratio over 21 interleaved pairs of runs), i.e.
-//      the interception branches are effectively free.
+//   2. CPU-time overhead — the empty-plan run must cost < 2% extra
+//      process CPU time (median ratio over 21 interleaved pairs of
+//      runs), i.e. the interception branches are effectively free.
 //
 // It then runs the same job with an active plan (store errors plus one
 // node fail-stop) and reports the degraded-mode outcome: retries,
@@ -19,7 +19,7 @@
 //
 // A second section covers the serving path (DESIGN.md §13): the
 // deadline-budget + circuit-breaker machinery must be free when
-// nothing fails (virtual time identical, < 2% wall overhead), and
+// nothing fails (virtual time identical, < 2% CPU-time overhead), and
 // under a flapping replica the breaker's shedding must keep the
 // per-op p99 within 3x the fault-free baseline with zero records
 // lost. Counters and the survival table land in BENCH_chaos.json.
@@ -27,8 +27,8 @@
 // Exit status is non-zero when byte-identity or any overhead/survival
 // gate fails, so CI can run the bench as an acceptance check.
 #include <algorithm>
-#include <chrono>
 #include <cstddef>
+#include <ctime>
 #include <iostream>
 #include <memory>
 #include <numeric>
@@ -61,10 +61,22 @@ class LinearWorkload final : public core::Workload {
   }
 };
 
+/// CPU seconds used so far by this process, all threads included. The
+/// overhead gates time runs on this clock, not the wall clock: time the
+/// host gives to other processes does not count, so a loaded host does
+/// not move the paired ratios. Idle par::ThreadPool workers block on a
+/// condition variable, so they burn no CPU time between fan-outs.
+double process_cpu_s() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
 struct RunResult {
   runtime::JobSummary summary;
   std::string fingerprint;  // summary JSON + trace JSON
-  double wall_s = 0.0;
+  double cpu_s = 0.0;
 };
 
 RunResult run_once(const data::Dataset& dataset, std::uint32_t partitions,
@@ -86,11 +98,10 @@ RunResult run_once(const data::Dataset& dataset, std::uint32_t partitions,
   spec.seed = seed;
 
   runtime::JobRuntime rt(cluster, energy, spec);
-  const auto t0 = std::chrono::steady_clock::now();
   RunResult result;
+  const double t0 = process_cpu_s();
   result.summary = rt.run(dataset, workload);
-  const auto t1 = std::chrono::steady_clock::now();
-  result.wall_s = std::chrono::duration<double>(t1 - t0).count();
+  result.cpu_s = process_cpu_s() - t0;
   result.fingerprint =
       runtime::summary_json(result.summary) + "\n" +
       rt.trace().chrome_trace_json();
@@ -102,10 +113,10 @@ double median_of(std::vector<double> v) {
   return v[v.size() / 2];
 }
 
-/// Wall time of a baseline leg against a treated leg.
-struct PairedWall {
-  double base_s = 0.0;     // median wall of the baseline leg
-  double treated_s = 0.0;  // median wall of the treated leg
+/// CPU time of a baseline leg against a treated leg.
+struct PairedCpu {
+  double base_s = 0.0;     // median CPU time of the baseline leg
+  double treated_s = 0.0;  // median CPU time of the treated leg
   double overhead_pct = 0.0;  // from the median of the paired ratios
 };
 
@@ -113,9 +124,9 @@ struct PairedWall {
 /// per-pair treated/base ratios. Each pair runs the legs in the order
 /// base, treated, treated, base, so host drift between pairs and any
 /// run-order effect cancel inside the pair instead of landing in the
-/// ratio. `run(treated)` returns one leg's wall seconds.
+/// ratio. `run(treated)` returns one leg's CPU seconds.
 template <typename Run>
-PairedWall paired_wall(int pairs, Run run) {
+PairedCpu paired_cpu(int pairs, Run run) {
   std::vector<double> base;
   std::vector<double> treated;
   std::vector<double> ratio;
@@ -138,7 +149,7 @@ struct ServeResult {
   std::size_t ok_puts = 0;
   std::size_t lost = 0;  // acked keys the read path cannot produce
   double virtual_s = 0.0;
-  double wall_s = 0.0;
+  double cpu_s = 0.0;
   ha::RouterStats stats;
 };
 
@@ -156,7 +167,7 @@ ServeResult serve_once(const fault::FaultPlan* plan, bool breaker_on,
 
   ServeResult r;
   r.latencies.reserve(ops);
-  const auto t0 = std::chrono::steady_clock::now();
+  const double t0 = process_cpu_s();
   for (std::size_t i = 0; i < ops; ++i) {
     const std::string key = "bk" + std::to_string(i);
     const std::string value = "v" + std::to_string(i * 2654435761ULL);
@@ -177,8 +188,7 @@ ServeResult serve_once(const fault::FaultPlan* plan, bool breaker_on,
       ++r.lost;
     }
   }
-  const auto t1 = std::chrono::steady_clock::now();
-  r.wall_s = std::chrono::duration<double>(t1 - t0).count();
+  r.cpu_s = process_cpu_s() - t0;
   r.virtual_s = group.consumed_time();
   r.stats = group.router().stats();
   return r;
@@ -195,7 +205,7 @@ double p99_of(std::vector<double> lat) {
 int main() {
   const std::uint32_t partitions = 8;
   const std::uint64_t seed = 171;
-  // Interleaved pairs per wall gate: a job run takes ~0.1 s and a serve
+  // Interleaved pairs per CPU-time gate: a job run takes ~0.1 s and a serve
   // run ~2 ms, and single runs scatter by several percent on a shared
   // host, so the cheap serve leg takes many more pairs.
   const int job_pairs = 21;
@@ -222,22 +232,22 @@ int main() {
   metrics.push_back({"empty_plan_identical", identical ? 1.0 : 0.0, "bool"});
   if (!identical) ok = false;
 
-  // ---- wall-clock overhead gate --------------------------------------
+  // ---- CPU-time overhead gate ----------------------------------------
   // One warm-up pass of each configuration already happened above.
-  const PairedWall job_wall = paired_wall(job_pairs, [&](bool gated_leg) {
+  const PairedCpu job_cpu = paired_cpu(job_pairs, [&](bool gated_leg) {
     return run_once(dataset, partitions, gated_leg ? &empty_plan : nullptr,
                     seed)
-        .wall_s;
+        .cpu_s;
   });
-  const double wall_bare = job_wall.base_s;
-  const double wall_gated = job_wall.treated_s;
-  const double overhead_pct = job_wall.overhead_pct;
-  std::cout << "wall time: no injector " << common::format_double(wall_bare, 4)
-            << " s, empty plan " << common::format_double(wall_gated, 4)
+  const double cpu_bare = job_cpu.base_s;
+  const double cpu_gated = job_cpu.treated_s;
+  const double overhead_pct = job_cpu.overhead_pct;
+  std::cout << "CPU time: no injector " << common::format_double(cpu_bare, 4)
+            << " s, empty plan " << common::format_double(cpu_gated, 4)
             << " s, overhead " << common::format_double(overhead_pct, 2)
             << "% (gate: < 2%)\n";
-  metrics.push_back({"wall_bare", wall_bare, "s"});
-  metrics.push_back({"wall_empty_plan", wall_gated, "s"});
+  metrics.push_back({"cpu_bare", cpu_bare, "s"});
+  metrics.push_back({"cpu_empty_plan", cpu_gated, "s"});
   metrics.push_back({"empty_plan_overhead", overhead_pct, "%"});
   if (overhead_pct >= 2.0) {
     std::cout << "FAIL: empty-plan overhead " << overhead_pct
@@ -303,14 +313,14 @@ int main() {
       {"breaker_virtual_identical", virt_identical ? 1.0 : 0.0, "bool"});
   if (!virt_identical) ok = false;
 
-  const PairedWall serve_wall =
-      paired_wall(serve_pairs, [&](bool breaker_on) {
-        return serve_once(nullptr, breaker_on, serve_ops).wall_s;
+  const PairedCpu serve_cpu =
+      paired_cpu(serve_pairs, [&](bool breaker_on) {
+        return serve_once(nullptr, breaker_on, serve_ops).cpu_s;
       });
-  const double serve_off = serve_wall.base_s;
-  const double serve_on = serve_wall.treated_s;
-  const double serve_overhead_pct = serve_wall.overhead_pct;
-  std::cout << "fault-free wall time: breaker off "
+  const double serve_off = serve_cpu.base_s;
+  const double serve_on = serve_cpu.treated_s;
+  const double serve_overhead_pct = serve_cpu.overhead_pct;
+  std::cout << "fault-free CPU time: breaker off "
             << common::format_double(serve_off, 4) << " s, on "
             << common::format_double(serve_on, 4) << " s, overhead "
             << common::format_double(serve_overhead_pct, 2)

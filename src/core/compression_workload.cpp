@@ -21,7 +21,6 @@ std::string CompressionWorkload::name() const {
 void CompressionWorkload::reset(std::size_t num_partitions,
                                 std::uint32_t coordinator) {
   (void)coordinator;  // no cross-partition phase
-  executing_ = true;
   raw_bytes_.assign(num_partitions, 0);
   compressed_bytes_.assign(num_partitions, 0);
 }
@@ -68,7 +67,7 @@ void CompressionWorkload::run(cluster::NodeContext& ctx,
     compressed = blob.size();
   }
   const std::uint32_t node = ctx.node().id;
-  if (executing_ && node < raw_bytes_.size()) {
+  if (node < raw_bytes_.size()) {
     // Accumulate: the job runtime executes a partition as several
     // chunks, each compressed as its own unit.
     raw_bytes_[node] += raw;

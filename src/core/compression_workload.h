@@ -51,7 +51,6 @@ class CompressionWorkload final : public Workload {
   Algorithm algorithm_;
   compress::WebGraphCodecConfig webgraph_;
   compress::Lz77Config lz77_;
-  bool executing_ = false;
   std::vector<std::uint64_t> raw_bytes_;
   std::vector<std::uint64_t> compressed_bytes_;
 };

@@ -1,75 +1,53 @@
-// Distributed frequent pattern mining workload (SON over the framework).
-//
-// run() executes the local Apriori phase on a node's partition;
-// make_global_tasks() adds the candidate-prune scan: the union of locally
-// frequent patterns is broadcast, every node counts exact supports over
-// its partition, and the counts are merged. Skewed partitions produce
-// more locally-frequent-but-globally-infrequent candidates, inflating
-// both phases — the effect the representative layout suppresses.
+// Distributed frequent itemset mining workload: SON (son_workload.h)
+// with Apriori as the local miner and a support-count scan as the
+// global prune.
 //
 // Serves both the paper's "frequent tree mining" (transactions = LCA
 // pivot sets) and "text mining" (transactions = word sets) workloads.
 #pragma once
 
 #include <cstdint>
-#include <string>
+#include <span>
 #include <vector>
 
-#include "core/workload.h"
+#include "core/son_workload.h"
 #include "mining/apriori.h"
-#include "mining/son.h"
 
 namespace hetsim::core {
 
-class PatternMiningWorkload final : public Workload {
- public:
-  explicit PatternMiningWorkload(mining::AprioriConfig config)
-      : config_(config) {}
+struct ItemsetMiner {
+  using Config = mining::AprioriConfig;
+  using Pattern = data::ItemSet;
+  static constexpr char kName[] = "son-apriori";
+  static constexpr char kCandidatesKey[] = "candidates:init";
+  static constexpr char kCountsKey[] = "counts:";
 
-  [[nodiscard]] std::string name() const override;
-  [[nodiscard]] partition::Layout preferred_layout() const override {
-    return partition::Layout::kRepresentative;
+  static std::vector<data::ItemSet> records(
+      const data::Dataset& dataset, std::span<const std::uint32_t> indices) {
+    std::vector<data::ItemSet> transactions;
+    transactions.reserve(indices.size());
+    for (const std::uint32_t i : indices) {
+      transactions.push_back(dataset.records[i].items);
+    }
+    return transactions;
   }
-  void reset(std::size_t num_partitions,
-             std::uint32_t coordinator) override;
-  void run(cluster::NodeContext& ctx, const data::Dataset& dataset,
-           std::span<const std::uint32_t> indices) override;
-  [[nodiscard]] std::vector<cluster::NodeTask> make_global_tasks(
-      const data::Dataset& dataset,
-      const partition::PartitionAssignment& assignment) override;
-
-  /// Globally frequent pattern count after the prune phase.
-  [[nodiscard]] double quality() const override {
-    return static_cast<double>(globally_frequent_);
+  static std::vector<Pattern> mine(std::span<const data::ItemSet> records,
+                                   const Config& config, std::uint64_t& ops) {
+    mining::MiningResult result = mining::apriori(records, config);
+    ops += result.work_ops;
+    std::vector<Pattern> out;
+    out.reserve(result.frequent.size());
+    for (mining::Pattern& p : result.frequent) out.push_back(std::move(p.items));
+    return out;
   }
-
-  // ---- post-execution introspection (for benches/tests) ----
-  [[nodiscard]] std::size_t union_candidates() const noexcept {
-    return union_candidates_;
+  static std::vector<std::uint32_t> count(
+      std::span<const data::ItemSet> records,
+      std::span<const Pattern> candidates, std::uint64_t& ops) {
+    return mining::count_support(records, candidates, ops);
   }
-  [[nodiscard]] std::size_t false_positives() const noexcept {
-    return false_positives_;
-  }
-  [[nodiscard]] std::size_t globally_frequent() const noexcept {
-    return globally_frequent_;
-  }
-  [[nodiscard]] const std::vector<std::size_t>& local_frequent_counts()
-      const noexcept {
-    return local_frequent_counts_;
-  }
-  [[nodiscard]] const mining::AprioriConfig& config() const noexcept {
-    return config_;
-  }
-
- private:
-  mining::AprioriConfig config_;
-  bool executing_ = false;
-  std::uint32_t coordinator_ = 0;
-  std::vector<mining::MiningResult> local_results_;
-  std::vector<std::size_t> local_frequent_counts_;
-  std::size_t union_candidates_ = 0;
-  std::size_t false_positives_ = 0;
-  std::size_t globally_frequent_ = 0;
+  static std::size_t wire_bytes(const Pattern& p) { return 4 * p.size() + 4; }
 };
+
+using PatternMiningWorkload = SonWorkload<ItemsetMiner>;
 
 }  // namespace hetsim::core

@@ -1,4 +1,4 @@
-// Distributed frequent subtree mining workload: the SON two-phase scheme
+// Distributed frequent subtree mining workload: SON (son_workload.h)
 // with the FREQT-style miner as the local algorithm and embedding checks
 // as the global prune — the faithful version of the paper's "frequent
 // tree mining" workload (PatternMiningWorkload over LCA pivots is the
@@ -7,53 +7,53 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
+#include <span>
 #include <vector>
 
-#include "core/workload.h"
+#include "common/error.h"
+#include "core/son_workload.h"
 #include "mining/treeminer.h"
 
 namespace hetsim::core {
 
-class SubtreeMiningWorkload final : public Workload {
- public:
-  explicit SubtreeMiningWorkload(mining::TreeMinerConfig config)
-      : config_(config) {}
+struct SubtreeMiner {
+  using Config = mining::TreeMinerConfig;
+  using Pattern = mining::TreePattern;
+  static constexpr char kName[] = "son-subtree";
+  static constexpr char kCandidatesKey[] = "subtree-candidates";
+  static constexpr char kCountsKey[] = "subtree-counts:";
 
-  [[nodiscard]] std::string name() const override;
-  [[nodiscard]] partition::Layout preferred_layout() const override {
-    return partition::Layout::kRepresentative;
+  static std::vector<data::LabeledTree> records(
+      const data::Dataset& dataset, std::span<const std::uint32_t> indices) {
+    common::require<common::ConfigError>(
+        dataset.kind == data::DataKind::kTree,
+        "SubtreeMiningWorkload: dataset must hold tree payloads");
+    std::vector<data::LabeledTree> trees;
+    trees.reserve(indices.size());
+    for (const std::uint32_t i : indices) {
+      trees.push_back(data::decode_tree(dataset.records[i].payload));
+    }
+    return trees;
   }
-  void reset(std::size_t num_partitions,
-             std::uint32_t coordinator) override;
-  void run(cluster::NodeContext& ctx, const data::Dataset& dataset,
-           std::span<const std::uint32_t> indices) override;
-  [[nodiscard]] std::vector<cluster::NodeTask> make_global_tasks(
-      const data::Dataset& dataset,
-      const partition::PartitionAssignment& assignment) override;
-
-  [[nodiscard]] double quality() const override {
-    return static_cast<double>(globally_frequent_);
+  static std::vector<Pattern> mine(std::span<const data::LabeledTree> records,
+                                   const Config& config, std::uint64_t& ops) {
+    mining::TreeMiningResult result = mining::mine_subtrees(records, config);
+    ops += result.work_ops;
+    std::vector<Pattern> out;
+    out.reserve(result.frequent.size());
+    for (mining::FrequentSubtree& f : result.frequent) {
+      out.push_back(std::move(f.pattern));
+    }
+    return out;
   }
-
-  [[nodiscard]] std::size_t union_candidates() const noexcept {
-    return union_candidates_;
+  static std::vector<std::uint32_t> count(
+      std::span<const data::LabeledTree> records,
+      std::span<const Pattern> candidates, std::uint64_t& ops) {
+    return mining::count_subtree_support(records, candidates, ops);
   }
-  [[nodiscard]] std::size_t false_positives() const noexcept {
-    return false_positives_;
-  }
-  [[nodiscard]] std::size_t globally_frequent() const noexcept {
-    return globally_frequent_;
-  }
-
- private:
-  mining::TreeMinerConfig config_;
-  bool executing_ = false;
-  std::uint32_t coordinator_ = 0;
-  std::vector<mining::TreeMiningResult> local_results_;
-  std::size_t union_candidates_ = 0;
-  std::size_t false_positives_ = 0;
-  std::size_t globally_frequent_ = 0;
+  static std::size_t wire_bytes(const Pattern& p) { return 8 * p.size() + 4; }
 };
+
+using SubtreeMiningWorkload = SonWorkload<SubtreeMiner>;
 
 }  // namespace hetsim::core

@@ -38,6 +38,9 @@ class Workload {
   /// Run the algorithm on the given records of `dataset` as node
   /// `ctx.node().id`, metering work via ctx.meter(). Called both during
   /// progressive-sampling estimation and for the real partition.
+  /// run() calls before reset() are estimation runs and leave no state:
+  /// before the first reset() there is no per-node state to record
+  /// into, and reset() discards whatever later ones recorded.
   virtual void run(cluster::NodeContext& ctx, const data::Dataset& dataset,
                    std::span<const std::uint32_t> indices) = 0;
 

@@ -125,9 +125,8 @@ MiningResult apriori(std::span<const data::ItemSet> transactions,
                                        "apriori: max_pattern_length >= 1");
   MiningResult result;
   if (transactions.empty()) return result;
-  const auto min_count = static_cast<std::uint32_t>(std::max<double>(
-      1.0, std::ceil(config.min_support *
-                     static_cast<double>(transactions.size()))));
+  const std::uint32_t min_count =
+      min_support_count(config.min_support, transactions.size());
 
   // Level 1: plain frequency count.
   std::unordered_map<data::Item, std::uint32_t> item_counts;

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "data/itemset.h"
+#include "mining/support.h"
 
 namespace hetsim::mining {
 

@@ -1,7 +1,6 @@
 #include "mining/eclat.h"
 
 #include <algorithm>
-#include <cmath>
 #include <unordered_map>
 
 #include "common/error.h"
@@ -74,9 +73,7 @@ MiningResult eclat(std::span<const data::ItemSet> transactions,
                                        "eclat: max_pattern_length >= 1");
   EclatState state;
   if (transactions.empty()) return std::move(state.result);
-  state.min_count = static_cast<std::uint32_t>(std::max<double>(
-      1.0, std::ceil(config.min_support *
-                     static_cast<double>(transactions.size()))));
+  state.min_count = min_support_count(config.min_support, transactions.size());
   state.max_length = config.max_pattern_length;
 
   // Vertical representation: tidset per item.

@@ -1,7 +1,6 @@
 #include "mining/fpgrowth.h"
 
 #include <algorithm>
-#include <cmath>
 #include <deque>
 #include <map>
 #include <unordered_map>
@@ -150,9 +149,7 @@ MiningResult fpgrowth(std::span<const data::ItemSet> transactions,
                                        "fpgrowth: max_pattern_length >= 1");
   GrowState state;
   if (transactions.empty()) return std::move(state.result);
-  state.min_count = static_cast<std::uint32_t>(std::max<double>(
-      1.0, std::ceil(config.min_support *
-                     static_cast<double>(transactions.size()))));
+  state.min_count = min_support_count(config.min_support, transactions.size());
   state.max_length = config.max_pattern_length;
 
   // The initial "pattern base" is the transaction set itself, weight 1.

@@ -1,22 +1,8 @@
 #include "mining/son.h"
 
-#include <algorithm>
-#include <cmath>
-
 #include "common/error.h"
 
 namespace hetsim::mining {
-
-std::vector<data::ItemSet> candidate_union(
-    std::span<const MiningResult> local_results) {
-  std::vector<data::ItemSet> all;
-  for (const MiningResult& r : local_results) {
-    for (const Pattern& p : r.frequent) all.push_back(p.items);
-  }
-  std::sort(all.begin(), all.end());
-  all.erase(std::unique(all.begin(), all.end()), all.end());
-  return all;
-}
 
 SonResult son_mine(std::span<const std::vector<data::ItemSet>> partitions,
                    const AprioriConfig& config) {
@@ -29,13 +15,14 @@ SonResult son_mine(std::span<const std::vector<data::ItemSet>> partitions,
                                        "son_mine: empty dataset");
 
   // Phase 1: local mining at the same support *fraction*.
-  std::vector<MiningResult> locals;
+  std::vector<std::vector<data::ItemSet>> locals;
   locals.reserve(partitions.size());
   for (const auto& part : partitions) {
     MiningResult r = part.empty() ? MiningResult{} : apriori(part, config);
     out.local_work.push_back(r.work_ops);
     out.local_frequent_counts.push_back(r.frequent.size());
-    locals.push_back(std::move(r));
+    std::vector<data::ItemSet>& local = locals.emplace_back();
+    for (Pattern& p : r.frequent) local.push_back(std::move(p.items));
   }
 
   // Union of local candidates.
@@ -51,8 +38,8 @@ SonResult son_mine(std::span<const std::vector<data::ItemSet>> partitions,
     for (std::size_t c = 0; c < counts.size(); ++c) global_counts[c] += counts[c];
   }
 
-  const auto min_count = static_cast<std::uint32_t>(std::max<double>(
-      1.0, std::ceil(config.min_support * static_cast<double>(total_txns))));
+  const std::uint32_t min_count =
+      min_support_count(config.min_support, total_txns);
   for (std::size_t c = 0; c < candidates.size(); ++c) {
     if (global_counts[c] >= min_count) {
       out.frequent.push_back(Pattern{candidates[c], global_counts[c]});

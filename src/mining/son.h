@@ -10,11 +10,14 @@
 // the candidate union — exactly the effect the representative layout is
 // designed to suppress.
 //
-// This header provides the single-process reference implementation used
-// by tests and by the per-node tasks of the distributed runner
-// (core::PatternMiningWorkload, driven by runtime::JobRuntime).
+// son_mine is the single-process reference over in-memory partitions.
+// The distributed runner is core::SonWorkload (core/son_workload.h),
+// which runs both phases as per-node tasks of a runtime::JobRuntime job
+// for any local miner; the two share candidate_union and the
+// min_support_count threshold.
 #pragma once
 
+#include <algorithm>
 #include <span>
 #include <vector>
 
@@ -43,9 +46,18 @@ struct SonResult {
     std::span<const std::vector<data::ItemSet>> partitions,
     const AprioriConfig& config);
 
-/// Deduplicated union of locally frequent pattern sets (phase-1 reducer;
-/// exposed for the distributed runner).
-[[nodiscard]] std::vector<data::ItemSet> candidate_union(
-    std::span<const MiningResult> local_results);
+/// Sorted, deduplicated union of locally frequent pattern sets (the
+/// phase-1 reducer), for any ordered pattern type.
+template <typename P>
+[[nodiscard]] std::vector<P> candidate_union(
+    const std::vector<std::vector<P>>& locals) {
+  std::vector<P> all;
+  for (const std::vector<P>& local : locals) {
+    all.insert(all.end(), local.begin(), local.end());
+  }
+  std::sort(all.begin(), all.end());
+  all.erase(std::unique(all.begin(), all.end()), all.end());
+  return all;
+}
 
 }  // namespace hetsim::mining

@@ -1,7 +1,6 @@
 #include "mining/treeminer.h"
 
 #include <algorithm>
-#include <cmath>
 #include <map>
 #include <sstream>
 
@@ -129,9 +128,7 @@ TreeMiningResult mine_subtrees(std::span<const data::LabeledTree> corpus,
                                        "mine_subtrees: max_pattern_nodes >= 1");
   MinerState state;
   if (corpus.empty()) return std::move(state.result);
-  state.min_count = static_cast<std::uint32_t>(std::max<double>(
-      1.0,
-      std::ceil(config.min_support * static_cast<double>(corpus.size()))));
+  state.min_count = min_support_count(config.min_support, corpus.size());
   state.max_nodes = config.max_pattern_nodes;
 
   std::vector<IndexedTree> indexed;

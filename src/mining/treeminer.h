@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "data/tree.h"
+#include "mining/support.h"
 
 namespace hetsim::mining {
 

@@ -265,10 +265,8 @@ TEST(Son, EmptyPartitionTolerated) {
 }
 
 TEST(CandidateUnion, Dedupes) {
-  MiningResult a, b;
-  a.frequent = {Pattern{{1}, 3}, Pattern{{1, 2}, 2}};
-  b.frequent = {Pattern{{1}, 4}, Pattern{{3}, 2}};
-  const std::vector<MiningResult> locals{a, b};
+  const std::vector<std::vector<ItemSet>> locals{{ItemSet{1}, ItemSet{1, 2}},
+                                                 {ItemSet{1}, ItemSet{3}}};
   const auto u = candidate_union(locals);
   EXPECT_EQ(u, (std::vector<ItemSet>{{1}, {1, 2}, {3}}));
 }
